@@ -14,7 +14,7 @@
 #include "bench_util.h"
 #include "core/discretize.h"
 #include "core/randomized.h"
-#include "core/rounding_weighted.h"
+#include "core/rounding_multilevel.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "util/stats.h"
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       RandomizedOptions ro;
       ro.delta = dc.delta;
       FractionalPolicyPtr stack = MakeFractionalStack(ro);
-      RoundedWeightedPaging p(std::move(stack), static_cast<uint64_t>(s));
+      RoundedMultiLevel p(std::move(stack), static_cast<uint64_t>(s));
       rounded.Add(Simulate(trace, p).eviction_cost);
       resets.Add(static_cast<double>(p.reset_evictions()));
     }

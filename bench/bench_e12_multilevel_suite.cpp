@@ -101,7 +101,9 @@ int main(int argc, char** argv) {
     TwoQPolicy two_q;
     LandlordPolicy landlord;
     WaterfillPolicy waterfill;
-    const PolicyFactory factory = MakeReplayRandomizedFactory(trace);
+    const PolicyFactory factory = [](uint64_t seed) {
+      return MakeRandomizedPolicy(seed);
+    };
     const auto rnd_trials = RunTrials(pool, trace, factory, trials, 17);
     RunningStat rnd;
     for (const auto& r : rnd_trials) rnd.Add(r.eviction_cost / b.lower);

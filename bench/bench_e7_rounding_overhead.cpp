@@ -16,7 +16,6 @@
 #include "bench_util.h"
 #include "core/randomized.h"
 #include "core/rounding_multilevel.h"
-#include "core/rounding_weighted.h"
 #include "offline/weighted_opt.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
@@ -57,30 +56,19 @@ int main(int argc, char** argv) {
   Table table({"workload", "beta", "frac-cost", "int/frac", "resets",
                "int/OPT-LB"});
   for (const auto& [name, trace] : workloads) {
-    const bool single = trace.instance.num_levels() == 1;
     const Cost opt_lb = MultiLevelLowerBound(trace);
     for (double beta : {1.0, 2.0, 4.0, 8.0, beta_star, 2.0 * beta_star}) {
       RunningStat int_cost;
       RunningStat resets;
       double frac_cost = 0.0;
       for (int s = 0; s < trials; ++s) {
-        if (single) {
-          RoundingOptions ro;
-          ro.beta = beta;
-          RoundedWeightedPaging p(MakeFractionalStack(),
-                                  static_cast<uint64_t>(s), ro);
-          int_cost.Add(Simulate(trace, p).eviction_cost);
-          resets.Add(static_cast<double>(p.reset_evictions()));
-          frac_cost = p.fractional().lp_cost();
-        } else {
-          MultiLevelRoundingOptions ro;
-          ro.beta = beta;
-          RoundedMultiLevel p(MakeFractionalStack(),
-                              static_cast<uint64_t>(s), ro);
-          int_cost.Add(Simulate(trace, p).eviction_cost);
-          resets.Add(static_cast<double>(p.reset_evictions()));
-          frac_cost = p.fractional().lp_cost();
-        }
+        MultiLevelRoundingOptions ro;
+        ro.beta = beta;
+        RoundedMultiLevel p(MakeFractionalStack(), static_cast<uint64_t>(s),
+                            ro);
+        int_cost.Add(Simulate(trace, p).eviction_cost);
+        resets.Add(static_cast<double>(p.reset_evictions()));
+        frac_cost = p.fractional().lp_cost();
       }
       table.AddRow({name, Fmt(beta, 1), Fmt(frac_cost, 0),
                     Fmt(int_cost.mean() / frac_cost, 2),

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "core/fractional.h"
-#include "core/rounding_weighted.h"
+#include "core/rounding_multilevel.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   auto frac_owner = std::make_unique<FractionalMlp>();
   FractionalMlp* frac = frac_owner.get();
-  RoundedWeightedPaging policy(std::move(frac_owner), seed);
+  RoundedMultiLevel policy(std::move(frac_owner), seed);
 
   CacheState cache(inst);
   CacheOps ops(inst, cache);
@@ -64,9 +64,10 @@ int main(int argc, char** argv) {
             << " * serving a request drives its u to 0; eviction mass then\n"
             << "   leaks from OTHER pages at rate (u + 1/k) / w — cheap\n"
             << "   pages (p3, p4) absorb it fastest;\n"
-            << " * the integral cache only holds pages with y = beta*u < 1\n"
-            << "   and evicts with probability dy/(1 - y): the rounding\n"
-            << "   never needs the distribution over cache states that\n"
-            << "   previous approaches maintained.\n";
+            << " * the integral cache only holds pages with y = beta*u < 1:\n"
+            << "   a fetched page draws a threshold uniform in [y, 1) and\n"
+            << "   leaves when y rises past it — the rounding never needs\n"
+            << "   the distribution over cache states that previous\n"
+            << "   approaches maintained.\n";
   return 0;
 }

@@ -23,8 +23,9 @@ trace_dir="$repo/tests/corpus/trace_io"
 differ_dir="$repo/tests/corpus/policy_differ"
 serve_dir="$repo/tests/corpus/serve_config"
 pred_dir="$repo/tests/corpus/predictor_config"
-rm -rf "$trace_dir" "$differ_dir" "$serve_dir" "$pred_dir"
-mkdir -p "$trace_dir" "$differ_dir" "$serve_dir" "$pred_dir"
+spec_dir="$repo/tests/corpus/registry_spec"
+rm -rf "$trace_dir" "$differ_dir" "$serve_dir" "$pred_dir" "$spec_dir"
+mkdir -p "$trace_dir" "$differ_dir" "$serve_dir" "$pred_dir" "$spec_dir"
 
 # ---- trace_io corpus: valid traces spanning the format space -------------
 
@@ -183,6 +184,33 @@ printf '\x00%b\x02\x0b\x03\x01\x0b%b%b%b\x05%b' \
 printf '\x01'                              > "$pred_dir/one_byte.bin"
 printf ''                                  > "$pred_dir/empty.bin"
 
+# ---- registry_spec corpus: "randomized:" parameter lists ------------------
+#
+# Each file is the text after "randomized:" (fuzz/fuzz_registry_spec.cpp).
+# Accepted specs cover every key and engine; the reject seeds pin each
+# strictness rule: unknown key, typo'd engine, malformed, non-finite and
+# out-of-range numbers, empty items, leading whitespace, embedded NUL.
+spec() { printf '%b' "$2" > "$spec_dir/$1.txt"; }
+spec accept_empty            ''
+spec accept_all_keys         'beta=3,eta=0.5,delta=-1,engine=reference'
+spec accept_linear           'engine=linear,delta=0.25'
+spec accept_default_grid     'delta=0,beta=0'
+spec reject_unknown_key      'bogus=1,beta=3'
+spec reject_engine_typo      'engine=Linear'
+spec reject_engine_empty     'engine='
+spec reject_trailing_junk    'beta=2x'
+spec reject_nan              'beta=nan'
+spec reject_inf              'eta=inf'
+spec reject_negative_beta    'beta=-1'
+spec reject_eta_above_one    'eta=2'
+spec reject_delta_above_one  'delta=2'
+spec reject_tiny_delta       'delta=1e-12'
+spec reject_empty_item       'beta=2,,eta=0.5'
+spec reject_trailing_comma   'beta=2,'
+spec reject_leading_space    'beta= 2'
+spec reject_no_value         'beta'
+spec reject_embedded_nul     'beta=2\x00x'
+
 echo "corpus written:"
-find "$trace_dir" "$differ_dir" "$serve_dir" "$pred_dir" -type f | sort \
+find "$trace_dir" "$differ_dir" "$serve_dir" "$pred_dir" "$spec_dir" -type f | sort \
   | sed "s|$repo/||"

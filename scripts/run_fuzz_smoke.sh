@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Replays the checked-in seed corpora through both fuzz harnesses using the
+# Replays the checked-in seed corpora through every fuzz harness using the
 # standalone driver (no libFuzzer needed — works under plain GCC). This is
 # the deterministic CI smoke; for real coverage-guided fuzzing configure
 # with clang and -DWMLP_LIBFUZZER=ON and run the binaries directly.
@@ -12,7 +12,7 @@ build="${1:-$repo/build}"
 
 fail=0
 for target in fuzz_trace_io fuzz_policy_differ fuzz_serve_config \
-              fuzz_predictor_config; do
+              fuzz_predictor_config fuzz_registry_spec; do
   bin="$build/fuzz/$target"
   corpus="$repo/tests/corpus/${target#fuzz_}"
   if [[ ! -x "$bin" ]]; then

@@ -4,50 +4,8 @@
 
 #include "core/fractional_linear.h"
 #include "core/fractional_reference.h"
-#include "core/replay.h"
 
 namespace wmlp {
-
-namespace {
-
-// Dispatches Attach-time between Algorithm 1 (ell == 1) and Algorithm 2.
-// The choice depends on the instance, which is only known at Attach.
-class RandomizedDispatch final : public Policy {
- public:
-  RandomizedDispatch(uint64_t seed, RandomizedOptions options)
-      : seed_(seed), options_(options) {}
-
-  void Attach(const Instance& instance) override {
-    FractionalPolicyPtr frac = MakeFractionalStack(options_);
-    if (instance.num_levels() == 1 && !options_.force_multilevel) {
-      RoundingOptions ropts;
-      ropts.beta = options_.beta;
-      inner_ = std::make_unique<RoundedWeightedPaging>(std::move(frac),
-                                                       seed_, ropts);
-    } else {
-      MultiLevelRoundingOptions ropts;
-      ropts.beta = options_.beta;
-      inner_ = std::make_unique<RoundedMultiLevel>(std::move(frac), seed_,
-                                                   ropts);
-    }
-    inner_->Attach(instance);
-  }
-
-  void Serve(Time t, const Request& r, CacheOps& ops) override {
-    inner_->Serve(t, r, ops);
-  }
-
-  std::string name() const override {
-    return inner_ != nullptr ? inner_->name() : "randomized-mlp";
-  }
-
- private:
-  uint64_t seed_;
-  RandomizedOptions options_;
-  PolicyPtr inner_;
-};
-
-}  // namespace
 
 FractionalPolicyPtr MakeFractionalStack(const RandomizedOptions& options) {
   FractionalPolicyPtr frac;
@@ -71,29 +29,10 @@ FractionalPolicyPtr MakeFractionalStack(const RandomizedOptions& options) {
 
 PolicyPtr MakeRandomizedPolicy(uint64_t seed,
                                const RandomizedOptions& options) {
-  return std::make_unique<RandomizedDispatch>(seed, options);
-}
-
-PolicyFactory MakeReplayRandomizedFactory(const Trace& trace,
-                                          const RandomizedOptions& options) {
-  FractionalPolicyPtr recorder = MakeFractionalStack(options);
-  std::shared_ptr<const FracTrajectory> trajectory =
-      FracTrajectory::Record(*recorder, trace);
-  const bool single =
-      trace.instance.num_levels() == 1 && !options.force_multilevel;
-  return [trajectory, options, single](uint64_t seed) -> PolicyPtr {
-    auto replay = std::make_unique<ReplayFractional>(trajectory);
-    if (single) {
-      RoundingOptions ropts;
-      ropts.beta = options.beta;
-      return std::make_unique<RoundedWeightedPaging>(std::move(replay), seed,
-                                                     ropts);
-    }
-    MultiLevelRoundingOptions ropts;
-    ropts.beta = options.beta;
-    return std::make_unique<RoundedMultiLevel>(std::move(replay), seed,
-                                               ropts);
-  };
+  MultiLevelRoundingOptions ropts;
+  ropts.beta = options.beta;
+  return std::make_unique<RoundedMultiLevel>(MakeFractionalStack(options),
+                                             seed, ropts);
 }
 
 }  // namespace wmlp

@@ -6,7 +6,6 @@
 #include "core/discretize.h"
 #include "core/fractional.h"
 #include "core/rounding_multilevel.h"
-#include "core/rounding_weighted.h"
 #include "sim/policy.h"
 
 namespace wmlp {
@@ -25,9 +24,6 @@ struct RandomizedOptions {
   double beta = 0.0;   // rounding aggressiveness; 0 -> 4 ln(k + 1)
   double delta = 0.0;  // discretization grid; 0 -> 1/(4k); < 0 -> disabled
   FractionalEngine engine = FractionalEngine::kMultiplicative;
-  // Force the multi-level rounding path even when ell == 1 (by default
-  // ell == 1 instances use the simpler Algorithm 1).
-  bool force_multilevel = false;
 };
 
 // Builds the full randomized online policy. `seed` drives all of its
@@ -35,16 +31,8 @@ struct RandomizedOptions {
 PolicyPtr MakeRandomizedPolicy(uint64_t seed,
                                const RandomizedOptions& options = {});
 
-// Convenience: the stack below the rounding (for experiments that need the
-// fractional cost alone).
+// The fractional stack below the rounding — exactly what the policy runs
+// (for experiments that need the fractional cost alone).
 FractionalPolicyPtr MakeFractionalStack(const RandomizedOptions& options = {});
-
-// Seed-sweep accelerator: records the deterministic fractional trajectory
-// over `trace` ONCE, then returns a factory whose policies replay it under
-// independent rounding randomness. Policies from this factory are only
-// valid when simulated on exactly `trace`.
-PolicyFactory MakeReplayRandomizedFactory(const Trace& trace,
-                                          const RandomizedOptions& options =
-                                              {});
 
 }  // namespace wmlp

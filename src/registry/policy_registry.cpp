@@ -1,5 +1,6 @@
 #include "registry/policy_registry.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -25,36 +26,70 @@ namespace wmlp {
 
 namespace {
 
-// Parses "k1=v1,k2=v2" into the options; unknown keys are ignored.
-RandomizedOptions ParseRandomizedParams(const std::string& params) {
-  RandomizedOptions options;
-  std::istringstream iss(params);
-  std::string kv;
-  while (std::getline(iss, kv, ',')) {
-    const size_t eq = kv.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = kv.substr(0, eq);
-    const double value = std::strtod(kv.c_str() + eq + 1, nullptr);
-    if (key == "beta") options.beta = value;
-    if (key == "eta") options.eta = value;
-    if (key == "delta") options.delta = value;
-    if (key == "engine") {
-      const std::string engine = kv.substr(eq + 1);
-      if (engine == "linear") {
-        options.engine = FractionalEngine::kLinear;
-      } else if (engine == "reference") {
-        options.engine = FractionalEngine::kReference;
-      } else {
-        options.engine = FractionalEngine::kMultiplicative;
-      }
+// Parses one "key=value" of a randomized spec into the options.
+bool ParseRandomizedParam(const std::string& kv, RandomizedOptions* options) {
+  const size_t eq = kv.find('=');
+  if (eq == std::string::npos) return false;
+  const std::string key = kv.substr(0, eq);
+  const std::string raw = kv.substr(eq + 1);
+  if (key == "engine") {
+    if (raw == "multiplicative") {
+      options->engine = FractionalEngine::kMultiplicative;
+    } else if (raw == "reference") {
+      options->engine = FractionalEngine::kReference;
+    } else if (raw == "linear") {
+      options->engine = FractionalEngine::kLinear;
+    } else {
+      return false;
     }
+    return true;
   }
-  return options;
+  // strtod would skip leading whitespace and stop at an embedded NUL; a
+  // strict value has neither.
+  if (raw.empty() || std::isspace(static_cast<unsigned char>(raw[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (end != raw.c_str() + raw.size() || !std::isfinite(value)) return false;
+  if (key == "beta") {
+    if (value < 0.0) return false;
+    options->beta = value;
+  } else if (key == "eta") {
+    if (value < 0.0 || value > 1.0) return false;
+    options->eta = value;
+  } else if (key == "delta") {
+    // 0 picks 1/(4k), negative disables the grid, and an explicit grid
+    // is a cell width in [1e-9, 1].
+    if (value > 1.0 || (value > 0.0 && value < 1e-9)) return false;
+    options->delta = value;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// Parses "k1=v1,k2=v2" (keys beta, eta, delta, engine; an empty list keeps
+// the defaults) into randomized-policy options. Returns false on an empty
+// item, an unknown key, a malformed or non-finite number, an out-of-range
+// value or an unknown engine: a typo is rejected, never reinterpreted.
+bool ParseRandomizedParams(const std::string& params,
+                           RandomizedOptions* options) {
+  if (params.empty()) return true;
+  for (size_t begin = 0;;) {
+    const size_t comma = params.find(',', begin);
+    const size_t len = comma == std::string::npos ? std::string::npos
+                                                  : comma - begin;
+    if (!ParseRandomizedParam(params.substr(begin, len), options)) {
+      return false;
+    }
+    if (comma == std::string::npos) return true;
+    begin = comma + 1;
+  }
 }
 
 // Parses "k1=v1,k2=v2" into predictive-combiner options. Returns false on a
-// malformed or out-of-range value (strict, unlike the randomized parser:
-// the prediction flags promise hard rejection of bad eta/lambda/horizon).
+// malformed or out-of-range value.
 bool ParsePredictiveParams(const std::string& params,
                            predict::PredictiveOptions* options) {
   std::istringstream iss(params);
@@ -150,8 +185,11 @@ PolicyPtr MakePolicyByName(const std::string& name, uint64_t seed) {
   }
   constexpr char kPrefix[] = "randomized:";
   if (name.rfind(kPrefix, 0) == 0) {
-    return MakeRandomizedPolicy(
-        seed, ParseRandomizedParams(name.substr(sizeof(kPrefix) - 1)));
+    RandomizedOptions options;
+    if (!ParseRandomizedParams(name.substr(sizeof(kPrefix) - 1), &options)) {
+      return nullptr;
+    }
+    return MakeRandomizedPolicy(seed, options);
   }
   return nullptr;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/discretize.h"
@@ -139,25 +140,47 @@ TEST(Fractional, OnlyRequestedPageDecreases) {
   }
 }
 
-TEST(Fractional, LastChangedCoversAllMovement) {
+TEST(Fractional, WatchesCoverAllMovement) {
+  // Every page carries a watch a random distance above its value; after
+  // each Serve the fired set is exactly the watched pages whose u rose past
+  // their threshold. Fired and served pages are re-armed.
   Instance inst = Instance::Uniform(8, 3);
-  const Trace t = GenZipf(inst, 100, 0.7, LevelMix::AllLowest(1), 12);
+  const Trace t = GenZipf(inst, 300, 0.7, LevelMix::AllLowest(1), 12);
   FractionalMlp frac;
   frac.Attach(inst);
-  std::vector<double> prev(8, 1.0);
+  Rng rng(5);
+  std::vector<double> x(8, 0.0);
+  auto arm = [&](PageId p) {
+    const double u = frac.U(p, 1);
+    x[static_cast<size_t>(p)] = u + (1.0 - u) * rng.NextDouble();
+    frac.ArmWatch(p, 1, x[static_cast<size_t>(p)]);
+  };
+  for (PageId p = 0; p < 8; ++p) arm(p);
+  int64_t fired_total = 0;
   for (Time i = 0; i < t.length(); ++i) {
+    const PageId served = t.requests[static_cast<size_t>(i)].page;
     frac.Serve(i, t.requests[static_cast<size_t>(i)]);
-    std::vector<bool> changed(8, false);
-    for (PageId p : frac.last_changed()) changed[static_cast<size_t>(p)] =
-        true;
+    std::vector<bool> fired(8, false);
+    for (PageId p : frac.fired()) fired[static_cast<size_t>(p)] = true;
+    EXPECT_TRUE(std::is_sorted(frac.fired().begin(), frac.fired().end()));
     for (PageId p = 0; p < 8; ++p) {
-      if (std::abs(frac.U(p, 1) - prev[static_cast<size_t>(p)]) > 1e-12) {
-        EXPECT_TRUE(changed[static_cast<size_t>(p)])
-            << "page " << p << " moved but not reported at t=" << i;
+      const double u = frac.U(p, 1);
+      const double xp = x[static_cast<size_t>(p)];
+      if (p == served) {
+        EXPECT_FALSE(fired[static_cast<size_t>(p)]);
+        EXPECT_FALSE(frac.watch(p, nullptr, nullptr));  // cleared by Serve
+      } else if (std::abs(u - xp) > 1e-9) {
+        EXPECT_EQ(fired[static_cast<size_t>(p)], u > xp)
+            << "page " << p << " u=" << u << " x=" << xp << " at t=" << i;
       }
-      prev[static_cast<size_t>(p)] = frac.U(p, 1);
+      if (fired[static_cast<size_t>(p)]) {
+        EXPECT_FALSE(frac.watch(p, nullptr, nullptr));
+        ++fired_total;
+      }
+      if (fired[static_cast<size_t>(p)] || p == served) arm(p);
     }
   }
+  EXPECT_GT(fired_total, 20);
 }
 
 TEST(Fractional, EtaDefaultsToOneOverK) {

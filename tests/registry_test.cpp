@@ -66,9 +66,56 @@ TEST(Registry, ParameterizedRandomized) {
   EXPECT_EQ(res.misses, 3);
 }
 
-TEST(Registry, ParameterizedIgnoresUnknownKeys) {
-  PolicyPtr p = MakePolicyByName("randomized:bogus=1,beta=3", 1);
-  ASSERT_NE(p, nullptr);
+TEST(Registry, ParameterizedRejectsUnknownKeys) {
+  EXPECT_EQ(MakePolicyByName("randomized:bogus=1,beta=3", 1), nullptr);
+  EXPECT_EQ(MakePolicyByName("randomized:beta=3,Beta=2", 1), nullptr);
+}
+
+TEST(Registry, ParameterizedRandomizedRejectsBadValues) {
+  // Every malformed spec is rejected, never silently reinterpreted.
+  for (const char* spec :
+       {"randomized:beta", "randomized:beta=", "randomized:beta=2x",
+        "randomized:beta=nan", "randomized:beta=inf", "randomized:beta=-1",
+        "randomized:eta=-0.5", "randomized:eta=1e999", "randomized:delta=2",
+        "randomized:engine=bogus", "randomized:engine=", "randomized:engine",
+        "randomized:engine=Linear", "randomized:,beta=2",
+        "randomized:beta=2,,eta=1", "randomized:beta= 2",
+        "randomized:beta=2,", "randomized:eta=2", "randomized:delta=1e-12",
+        "randomized:beta=0x"}) {
+    EXPECT_EQ(MakePolicyByName(spec, 1), nullptr) << spec;
+  }
+}
+
+TEST(Registry, ParameterizedRandomizedAcceptsEveryDocumentedKey) {
+  Instance inst(8, 3, 2,
+                MakeWeights(8, 2, WeightModel::kGeometricLevels, 4.0, 2));
+  const Trace t = GenZipf(inst, 80, 0.6, LevelMix::UniformMix(2), 3);
+  for (const char* spec :
+       {"randomized:", "randomized:beta=0", "randomized:beta=2.5e0",
+        "randomized:eta=0.125", "randomized:delta=0", "randomized:delta=-1",
+        "randomized:delta=0.25", "randomized:engine=multiplicative",
+        "randomized:engine=reference", "randomized:engine=linear",
+        "randomized:beta=3,eta=0.5,delta=-1,engine=reference"}) {
+    PolicyPtr p = MakePolicyByName(spec, 1);
+    ASSERT_NE(p, nullptr) << spec;
+    const SimResult res = Simulate(t, *p);
+    EXPECT_EQ(res.hits + res.misses, 80) << spec;
+  }
+}
+
+TEST(Registry, ParameterizedEngineSelectsTheSolver) {
+  // engine= is honored, not mapped to the default: the reference and
+  // linear stacks report their own solver names.
+  const Instance inst = Instance::Uniform(4, 2);
+  const Trace t{inst, {{0, 1}}};
+  PolicyPtr ref = MakePolicyByName("randomized:engine=reference", 1);
+  PolicyPtr lin = MakePolicyByName("randomized:engine=linear", 1);
+  ASSERT_NE(ref, nullptr);
+  ASSERT_NE(lin, nullptr);
+  Simulate(t, *ref);
+  Simulate(t, *lin);
+  EXPECT_NE(ref->name().find("reference"), std::string::npos);
+  EXPECT_NE(lin->name().find("linear"), std::string::npos);
 }
 
 TEST(Registry, KnownNamesRoundTripThroughMakePolicyByName) {

@@ -120,6 +120,8 @@ int main(int argc, char** argv) {
   if (flags.Has("reference-solver")) {
     if (policy_name == "randomized" || policy_name == "fractional-rounded") {
       policy_name = "fractional-rounded-reference";
+    } else if (policy_name == "randomized:") {
+      policy_name += "engine=reference";
     } else if (policy_name.rfind("randomized:", 0) == 0) {
       policy_name += ",engine=reference";
     } else {
