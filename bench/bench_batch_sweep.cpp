@@ -159,9 +159,8 @@ int Main(int argc, char** argv) {
       GenZipf(std::move(inst), requests, 0.8, LevelMix::UniformMix(2), 8);
 
   const std::vector<int64_t> batches = {1, 8, 64, 512, 4096};
-  // lru and landlord are contrast rows: classic pointer-chasing baselines
-  // that allocate per miss (excluded from the allocs gate by name). The
-  // paper's waterfill path is the one held to zero steady-state allocs.
+  // lru and landlord are classic baselines next to the paper's waterfill
+  // path; the allocs gate holds all three to zero steady-state allocs.
   const std::vector<std::string> policies = {"lru", "landlord", "waterfill"};
 
   std::vector<Cell> cells;

@@ -8,8 +8,7 @@ Compares a current BENCH_perf.json against a checked-in baseline:
   * the fractional-fast solver must beat fractional-reference by at least
     --min-speedup x at the largest n where both ran with ell = 2 (the
     output-sensitivity acceptance criterion);
-  * cells on the paper's solver and serve paths must stay allocation-free
-    in steady state: a cell's total heap allocations (allocs_per_request *
+  * every cell must stay allocation-free in steady state: a cell's total heap allocations (allocs_per_request *
     requests, measured by the bench binaries' operator-new hook) must fit
     an affine budget --alloc-setup-budget + --max-allocs-per-request *
     requests. The constant term absorbs policy construction and Attach;
@@ -18,9 +17,9 @@ Compares a current BENCH_perf.json against a checked-in baseline:
     (default 0.01/request) catches any per-request
     allocation long before it reaches 1 per request. Baseline-independent:
     the budget is absolute, not relative to the recorded baseline.
-    Baseline-policy contrast rows (bench names containing "lru" or
-    "landlord", which allocate per miss by design) and cells from debug
-    builds (allocs_per_request < 0) are exempt.
+    The adaptive list-based contrast rows (arc, car, lruk, which allocate
+    per miss by design) and cells from debug builds (allocs_per_request
+    < 0) are exempt.
 
 Cells present in only one file are reported but never fail the gate — the
 grids differ between --quick and full mode by design.
@@ -49,17 +48,11 @@ def cell_key(c):
 def allocs_gated(bench):
     """Whether the allocs/request budget applies to this bench.
 
-    The zero-steady-state-allocation contract covers the paper's solver
-    paths (waterfill, fractional, rounded), the sharded serve layer, and
-    the batched engine path. Classic baseline policies (lru, landlord)
-    and the adaptive list-based ones (arc, car, lruk) allocate list/ghost
-    nodes per miss by design and ride along as contrast rows.
+    The zero-steady-state-allocation contract covers every cell except the
+    adaptive list-based baselines (arc, car, lruk), which allocate
+    list/ghost nodes per miss by design and ride along as contrast rows.
     """
-    if "lru" in bench or "landlord" in bench:
-        return False
-    if bench in ("arc", "car", "lruk"):
-        return False
-    return True
+    return bench not in ("arc", "car", "lruk")
 
 
 def informational(bench):

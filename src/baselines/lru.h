@@ -3,7 +3,6 @@
 // writeback-aware algorithms are measured against.
 #pragma once
 
-#include <list>
 #include <vector>
 
 #include "sim/policy.h"
@@ -17,10 +16,16 @@ class LruPolicy final : public Policy {
   std::string name() const override { return "lru"; }
 
  private:
+  static constexpr PageId kNil = -1;
+  void Unlink(PageId p);
   void Touch(PageId p);
-  std::list<PageId> order_;  // front = most recently used
-  std::vector<std::list<PageId>::iterator> iters_;
+  // Intrusive recency list over page ids, sized at Attach so serving never
+  // allocates: head_ is the most recently used page, tail_ the least.
+  std::vector<PageId> prev_;
+  std::vector<PageId> next_;
   std::vector<bool> present_;
+  PageId head_ = kNil;
+  PageId tail_ = kNil;
 };
 
 }  // namespace wmlp

@@ -1,7 +1,8 @@
 #include "engine/step_observers.h"
 
 #include <chrono>
-#include <cmath>
+
+#include "util/stats.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
@@ -71,24 +72,12 @@ void LatencyHistogram::OnBatch(Time, std::span<const Request> reqs,
 }
 
 double LatencyHistogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double target = q * static_cast<double>(count_);
-  double seen = 0.0;
+  std::array<uint64_t, kBuckets> counts{};
   for (int b = 0; b < kBuckets; ++b) {
-    const auto n = counts_[static_cast<size_t>(b)];
-    if (n == 0) continue;
-    const double c = static_cast<double>(n);
-    if (seen + c >= target) {
-      const double lo = b == 0 ? 0.0 : std::ldexp(1.0, b);
-      const double hi = std::ldexp(1.0, b + 1);
-      const double frac = (target - seen) / c;
-      return lo + frac * (hi - lo);
-    }
-    seen += c;
+    counts[static_cast<size_t>(b)] =
+        static_cast<uint64_t>(counts_[static_cast<size_t>(b)]);
   }
-  return static_cast<double>(max_cycles_);
+  return BucketQuantile(counts, {}, /*pow2=*/true, q);
 }
 
 }  // namespace wmlp

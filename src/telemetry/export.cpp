@@ -1,5 +1,6 @@
 #include "telemetry/export.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -8,7 +9,6 @@
 #include <memory>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "telemetry/health.h"
 #include "telemetry/http_server.h"
@@ -334,11 +334,6 @@ struct TelemetrySession::Impl {
   bool finished = false;
   bool armed_tracer = false;
 
-  std::thread stats_thread;
-  Mutex stats_mu;
-  CondVar stats_cv;
-  bool stats_stop GUARDED_BY(stats_mu) = false;
-
   // Observability plane (null when not requested).
   std::unique_ptr<SystemStatsCollector> system_collector;
   std::unique_ptr<TimeseriesSampler> sampler;
@@ -350,8 +345,6 @@ struct TelemetrySession::Impl {
   Mutex system_mu;
   SystemSample last_system GUARDED_BY(system_mu);
   bool have_system GUARDED_BY(system_mu) = false;
-
-  bool StopRequestedLocked() const REQUIRES(stats_mu) { return stats_stop; }
 
   double UptimeSeconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -382,31 +375,22 @@ struct TelemetrySession::Impl {
                           sys_ptr);
   }
 
-  void StatsLoop() {
-    const auto interval =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options.stats_interval));
-    while (true) {
-      const auto deadline = std::chrono::steady_clock::now() + interval;
-      {
-        MutexLock lock(stats_mu);
-        while (!StopRequestedLocked() &&
-               std::chrono::steady_clock::now() < deadline) {
-          stats_cv.WaitUntil(lock, deadline);
-        }
-        if (StopRequestedLocked()) return;
-      }
-      // Report outside the lock: Collect() takes the registry mutex, and
-      // the stats lock only guards the stop flag.
-      double uptime =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      std::ostringstream os;
-      os << "# wmlp telemetry t=" << uptime << "s\n";
-      WritePrometheusText(os, Registry::Get().Collect());
-      std::cerr << os.str();
-    }
+  // --stats-interval: the Prometheus dump on stderr, printed from the
+  // sampler's tick hook on the first tick at least one interval after the
+  // previous dump (or the session start). Only the sampler thread touches
+  // these once it runs.
+  std::chrono::steady_clock::duration stats_period{};
+  std::chrono::steady_clock::time_point last_dump = start;
+
+  void MaybeDumpStats() {
+    const auto now = std::chrono::steady_clock::now();
+    if (now - last_dump < stats_period) return;
+    last_dump = now;
+    std::ostringstream os;
+    os << "# wmlp telemetry t="
+       << std::chrono::duration<double>(now - start).count() << "s\n";
+    WritePrometheusText(os, Registry::Get().Collect());
+    std::cerr << os.str();
   }
 };
 
@@ -420,15 +404,19 @@ TelemetrySession::TelemetrySession(const TelemetryRunOptions& options)
     Tracer::Arm();
     impl_->armed_tracer = true;
   }
-  if (options.stats_interval > 0.0) {
-    impl_->stats_thread = std::thread([this] { impl_->StatsLoop(); });
-  }
 
-  // Sampler + system collector. An HTTP endpoint without history is almost
-  // never what an operator wants, so --http-port alone turns the sampler
-  // on at a 1 s period (export.h).
+  // Sampler + system collector. Without --sample-interval the sampler runs
+  // at the --stats-interval period (capped at the sampler's 1 h maximum),
+  // else at 1 s when --http-port asks for an endpoint, which is almost
+  // never wanted without history (export.h).
   double sample_interval = options.sample_interval;
-  if (options.http_port >= 0 && sample_interval <= 0.0) sample_interval = 1.0;
+  if (sample_interval <= 0.0) {
+    if (options.stats_interval > 0.0) {
+      sample_interval = std::min(options.stats_interval, 3600.0);
+    } else if (options.http_port >= 0) {
+      sample_interval = 1.0;
+    }
+  }
   if (sample_interval > 0.0) {
     impl_->system_collector = std::make_unique<SystemStatsCollector>();
     TimeseriesOptions tsopts;
@@ -436,14 +424,24 @@ TelemetrySession::TelemetrySession(const TelemetryRunOptions& options)
     tsopts.retention = options.sample_retention;
     impl_->sampler = std::make_unique<TimeseriesSampler>(tsopts);
     Impl* im = impl_;
+    // The same conversion the sampler applies to its own period, so with
+    // only --stats-interval every tick is at least one period past the
+    // previous dump and dumps.
+    im->stats_period =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(options.stats_interval));
+    const bool dump_stats = options.stats_interval > 0.0;
     // The hook runs on the sampler thread, which is the sole gauge
     // publisher for system stats (system_stats.h's single-publisher rule).
-    impl_->sampler->set_pre_sample_hook([im] {
+    impl_->sampler->set_pre_sample_hook([im, dump_stats] {
       const SystemSample sample = im->system_collector->Sample();
       SystemStatsCollector::PublishGauges(sample);
-      MutexLock lock(im->system_mu);
-      im->last_system = sample;
-      im->have_system = true;
+      {
+        MutexLock lock(im->system_mu);
+        im->last_system = sample;
+        im->have_system = true;
+      }
+      if (dump_stats) im->MaybeDumpStats();
     });
     impl_->sampler->Start();
   }
@@ -484,14 +482,6 @@ bool TelemetrySession::Finish(std::string* err) {
   Impl& im = *impl_;
   if (im.finished) return true;
   im.finished = true;
-  if (im.stats_thread.joinable()) {
-    {
-      MutexLock lock(im.stats_mu);
-      im.stats_stop = true;
-    }
-    im.stats_cv.NotifyAll();
-    im.stats_thread.join();
-  }
   // HTTP first (so no scrape races the sampler teardown), then sampler.
   if (im.http != nullptr) {
     im.http->Stop();

@@ -5,9 +5,9 @@
 //                         _count/_sum/_bucket{le=...} with cumulative
 //                         buckets).
 //   SnapshotToJson /      the "wmlp-telemetry-snapshot-v1" JSON document
-//   WriteSnapshotJson     (schema: docs/telemetry_schema.json; reader:
-//                         telemetry/snapshot_reader.h; checker:
-//                         scripts/check_telemetry_schema.py).
+//   WriteSnapshotJson     (its rules and only validator:
+//                         telemetry/snapshot_reader.h, run on files by
+//                         `wmlp_stats --check`).
 //   WriteTraceJson        drains the tracer into a Chrome/Perfetto
 //                         trace_event file.
 //   TelemetryRunOptions + the --telemetry-out/--trace-out/--stats-interval
@@ -58,8 +58,8 @@ bool WriteTraceJson(const std::string& path, std::string* err);
 struct TelemetryRunOptions {
   std::string telemetry_out;     // --telemetry-out: snapshot JSON path
   std::string trace_out;         // --trace-out: Perfetto trace path
-  double stats_interval = 0.0;   // --stats-interval: seconds between
-                                 // periodic stderr stats dumps
+  double stats_interval = 0.0;   // --stats-interval: least seconds
+                                 // between stderr stats dumps
   double sample_interval = 0.0;  // --sample-interval: time-series sampler
                                  // period (0 = sampler off)
   int64_t sample_retention = 600;  // --sample-retention: ring-buffer points
@@ -77,15 +77,20 @@ struct TelemetryRunOptions {
 std::string ValidateTelemetryRunOptions(const TelemetryRunOptions& options);
 
 // RAII wrapper a tool creates after flag parsing: arms the tracer when a
-// trace is requested, runs the periodic stats thread, the time-series
-// sampler + system collector, and the HTTP scrape endpoint; on Finish()
-// (or destruction) stops them all and writes the requested snapshot/trace
-// files (the snapshot includes the timeseries/system sections whenever the
-// sampler ran).
+// trace is requested, runs the time-series sampler + system collector and
+// the HTTP scrape endpoint; on Finish() (or destruction) stops them and
+// writes the requested snapshot/trace files (the snapshot includes the
+// timeseries/system sections whenever the sampler ran).
 //
-// Requesting --http-port with the sampler off auto-enables the sampler at
-// a 1 s period: a scrape endpoint with no history is almost never what an
-// operator wants, and the sampler is a pure registry reader.
+// The sampler thread is the session's only background thread besides the
+// HTTP server's. Its tick also prints the --stats-interval dump (a
+// "# wmlp telemetry t=<uptime>s" line, then Prometheus text) on stderr:
+// the dump fires on the first tick at least --stats-interval after the
+// previous dump, so it is never more frequent than the sampler. Without
+// --sample-interval the sampler runs at the --stats-interval period (at
+// most 1 h) and dumps every tick; with neither flag but --http-port it
+// runs at 1 s, since a scrape endpoint with no history is almost never
+// what an operator wants, and the sampler is a pure registry reader.
 class TelemetrySession {
  public:
   // `options` must already be validated; a non-empty validation error here

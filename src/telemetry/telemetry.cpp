@@ -164,10 +164,9 @@ Histogram& Registry::GetHistogram(std::string_view name,
   }
   im.layouts.push_back(layout);
   const HistogramLayout* stored = &im.layouts.back();
-  // Cells: [count (u64), sum (f64), bucket 0.., bucket n-1 (u64)].
-  std::size_t cells = 2 + stored->num_buckets();
-  std::size_t base = im.AllocCells(cells, CellKind::kU64);
-  im.cell_kinds[base + 1] = CellKind::kF64;
+  // Cells: [sum (f64), bucket 0.., bucket n-1 (u64)].
+  std::size_t cells = 1 + stored->num_buckets();
+  std::size_t base = im.AllocCells(cells, CellKind::kF64);
   std::string key(name);
   im.metrics.emplace(key,
                      MetricInfo{MetricType::kHistogram, base, cells, stored});
@@ -195,9 +194,8 @@ void Histogram::Observe(double value) {
         layout.bounds.begin());
   }
   detail::Shard& shard = detail::LocalShard();
-  shard.AddU64(base_cell_, 1);
-  shard.AddF64(base_cell_ + 1, value);
-  shard.AddU64(base_cell_ + 2 + bucket, 1);
+  shard.AddF64(base_cell_, value);
+  shard.AddU64(base_cell_ + 1 + bucket, 1);
 }
 
 std::shared_ptr<detail::Shard> Registry::RegisterShardForCurrentThread() {
@@ -261,14 +259,14 @@ std::vector<MetricSnapshot> Registry::Collect() const {
         snap.gauge_value = merged_f64[info.base_cell];
         break;
       case MetricType::kHistogram: {
-        snap.hist_count = merged_u64[info.base_cell];
-        snap.hist_sum = merged_f64[info.base_cell + 1];
+        snap.hist_sum = merged_f64[info.base_cell];
         snap.pow2 = info.layout->pow2;
         snap.bounds = info.layout->bounds;
         std::size_t buckets = info.layout->num_buckets();
         snap.bucket_counts.resize(buckets);
         for (std::size_t b = 0; b < buckets; ++b) {
-          snap.bucket_counts[b] = merged_u64[info.base_cell + 2 + b];
+          snap.bucket_counts[b] = merged_u64[info.base_cell + 1 + b];
+          snap.hist_count += snap.bucket_counts[b];
         }
         break;
       }

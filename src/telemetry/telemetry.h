@@ -27,7 +27,8 @@
 //   * Cell encodings: a Counter is one u64 cell; a Gauge is one cell holding
 //     a double bit pattern (merged by SUMMING across shards, so gauges must
 //     be additive quantities — queue depths, in-flight counts); a Histogram
-//     is count + sum(double bits) + one u64 cell per bucket.
+//     is sum(double bits) + one u64 cell per bucket, and its count is the
+//     bucket total, so even a snapshot taken mid-Observe is self-consistent.
 //
 //   * Metric registration (GetCounter / GetGauge / GetHistogram) takes the
 //     registry mutex and is NOT for per-request paths; call sites cache the
@@ -137,7 +138,7 @@ class Histogram {
   friend class Registry;
   Histogram(std::size_t base_cell, const HistogramLayout* layout)
       : base_cell_(base_cell), layout_(layout) {}
-  std::size_t base_cell_;  // [count, sum, bucket 0, bucket 1, ...]
+  std::size_t base_cell_;  // [sum, bucket 0, bucket 1, ...]
   const HistogramLayout* layout_;  // owned by the registry, never freed
 };
 

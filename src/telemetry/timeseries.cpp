@@ -5,43 +5,9 @@
 #include <deque>
 
 #include "util/check.h"
+#include "util/stats.h"
 
 namespace wmlp::telemetry {
-
-namespace {
-
-// Linear-within-bucket quantile over a window's bucket-count deltas (the
-// same interpolation wmlp_stats uses for whole-histogram quantiles).
-double DeltaQuantile(bool pow2, const std::vector<double>& bounds,
-                     const std::vector<uint64_t>& delta, double q) {
-  uint64_t total = 0;
-  for (uint64_t d : delta) total += d;
-  if (total == 0) return 0.0;
-  const double rank = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < delta.size(); ++b) {
-    cumulative += delta[b];
-    if (static_cast<double>(cumulative) < rank) continue;
-    double lower, upper;
-    if (pow2) {
-      lower = b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b));
-      upper = std::ldexp(1.0, static_cast<int>(b) + 1);
-    } else {
-      lower = b == 0 ? 0.0 : bounds[b - 1];
-      // The overflow bucket has no upper edge; report its lower edge.
-      if (b >= bounds.size()) return bounds.empty() ? 0.0 : bounds.back();
-      upper = bounds[b];
-    }
-    if (delta[b] == 0) return lower;
-    const double frac =
-        (rank - static_cast<double>(cumulative - delta[b])) /
-        static_cast<double>(delta[b]);
-    return lower + frac * (upper - lower);
-  }
-  return 0.0;  // unreachable: cumulative == total >= rank by the last bucket
-}
-
-}  // namespace
 
 std::string ValidateTimeseriesOptions(const TimeseriesOptions& options) {
   if (!std::isfinite(options.period_seconds) ||
@@ -182,9 +148,9 @@ SamplerSnapshot TimeseriesSampler::Snapshot() const {
       for (uint64_t d : delta) window += d;
       s.has_quantiles = true;
       s.window_count = static_cast<int64_t>(window);
-      s.p50 = DeltaQuantile(ring.pow2, ring.bounds, delta, 0.5);
-      s.p99 = DeltaQuantile(ring.pow2, ring.bounds, delta, 0.99);
-      s.p999 = DeltaQuantile(ring.pow2, ring.bounds, delta, 0.999);
+      s.p50 = BucketQuantile(delta, ring.bounds, ring.pow2, 0.5);
+      s.p99 = BucketQuantile(delta, ring.bounds, ring.pow2, 0.99);
+      s.p999 = BucketQuantile(delta, ring.bounds, ring.pow2, 0.999);
     }
     snap.series.push_back(std::move(s));
   }

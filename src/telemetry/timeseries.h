@@ -92,7 +92,8 @@ class TimeseriesSampler {
   // Runs at the start of every SampleOnce, before the registry is read.
   // Set before Start (not synchronized against a running thread).
   // TelemetrySession uses it to refresh the system/process gauges so they
-  // get ring-buffered like every other metric.
+  // get ring-buffered like every other metric, and to print the
+  // --stats-interval dump.
   void set_pre_sample_hook(std::function<void()> hook) {
     pre_sample_hook_ = std::move(hook);
   }

@@ -84,4 +84,35 @@ double GeoMean(std::span<const double> xs) {
   return std::exp(logsum / static_cast<double>(xs.size()));
 }
 
+double BucketQuantile(std::span<const uint64_t> counts,
+                      std::span<const double> bounds, bool pow2, double q) {
+  uint64_t total = 0;
+  for (const uint64_t c : counts) total += c;
+  if (total == 0) return 0.0;
+  if (q < 0.0) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  const double target = q * static_cast<double>(total);
+  double seen = 0.0;
+  for (size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 0) continue;
+    const double c = static_cast<double>(counts[b]);
+    if (seen + c >= target) {
+      double lo = 0.0;
+      double hi = 0.0;
+      if (pow2) {
+        lo = b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b));
+        hi = std::ldexp(1.0, static_cast<int>(b) + 1);
+      } else {
+        lo = b == 0 ? 0.0 : bounds[b - 1];
+        // The overflow bucket has no upper edge: report its lower edge.
+        hi = b < bounds.size() ? bounds[b] : lo;
+      }
+      const double frac = (target - seen) / c;
+      return lo + frac * (hi - lo);
+    }
+    seen += c;
+  }
+  return 0.0;  // unreachable: the last non-empty bucket reaches the total
+}
+
 }  // namespace wmlp

@@ -38,4 +38,17 @@ double Percentile(std::vector<double> xs, double q);
 // Geometric mean; all xs must be > 0.
 double GeoMean(std::span<const double> xs);
 
+// The one bucket-quantile rule for every histogram in the tree
+// (LatencyHistogram, the time-series sampler's window deltas, wmlp_stats).
+// Bucket edges: with `pow2`, bucket b holds [2^b, 2^{b+1}) and bucket 0
+// starts at 0 (`bounds` unused); otherwise bucket b holds
+// (bounds[b-1], bounds[b]], bucket 0 starts at 0, and the last bucket is
+// the overflow above bounds.back(). The rank q * total (q clamped to
+// [0, 1]) falls in the first non-empty bucket whose cumulative count
+// reaches it, and the result interpolates linearly across that bucket.
+// The overflow bucket has no upper edge, so it reports its lower edge.
+// Returns 0 when every bucket is empty.
+double BucketQuantile(std::span<const uint64_t> counts,
+                      std::span<const double> bounds, bool pow2, double q);
+
 }  // namespace wmlp

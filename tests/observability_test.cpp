@@ -6,9 +6,11 @@
 // anything else on the host.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "telemetry/export.h"
 #include "telemetry/health.h"
@@ -209,6 +211,62 @@ TEST(TelemetrySessionTest, SamplerSectionLandsInSnapshotFile) {
   EXPECT_TRUE(snapshot.has_system);
   EXPECT_TRUE(snapshot.system.valid);
 #endif
+  std::remove(out.c_str());
+}
+
+// --stats-interval has no thread of its own: the sampler runs at that
+// period and its tick prints the Prometheus dump on stderr.
+TEST(TelemetrySessionTest, StatsIntervalDumpsFromTheSamplerTick) {
+  Registry::Get().GetCounter("obstest_dump_total").Add(3);
+  const std::string out = ::testing::TempDir() + "/obstest_dump.json";
+  TelemetryRunOptions options;
+  options.telemetry_out = out;
+  options.stats_interval = 0.01;
+  ::testing::internal::CaptureStderr();
+  {
+    TelemetrySession session(options);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    std::string err;
+    EXPECT_TRUE(session.Finish(&err)) << err;
+  }
+  const std::string dump = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(dump.find("# wmlp telemetry t="), std::string::npos) << dump;
+  EXPECT_NE(dump.find("# TYPE obstest_dump_total counter\n"
+                      "obstest_dump_total 3\n"),
+            std::string::npos)
+      << dump;
+  SnapshotFile snapshot;
+  std::string err;
+  ASSERT_TRUE(ReadSnapshotFile(out, &snapshot, &err)) << err;
+  ASSERT_TRUE(snapshot.has_timeseries);
+  EXPECT_DOUBLE_EQ(snapshot.timeseries.period_seconds, 0.01);
+  EXPECT_GE(snapshot.timeseries.ticks, 1);
+  std::remove(out.c_str());
+}
+
+// With --sample-interval as well, the dump waits for the first tick at
+// least --stats-interval after the previous dump, so a long interval
+// stays quiet while the sampler ticks.
+TEST(TelemetrySessionTest, StatsIntervalLongerThanTheSamplerPeriodWaits) {
+  const std::string out = ::testing::TempDir() + "/obstest_quiet.json";
+  TelemetryRunOptions options;
+  options.telemetry_out = out;
+  options.sample_interval = 0.01;
+  options.stats_interval = 3600.0;
+  ::testing::internal::CaptureStderr();
+  {
+    TelemetrySession session(options);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::string err;
+    EXPECT_TRUE(session.Finish(&err)) << err;
+  }
+  const std::string dump = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(dump.find("# wmlp telemetry t="), std::string::npos) << dump;
+  SnapshotFile snapshot;
+  std::string err;
+  ASSERT_TRUE(ReadSnapshotFile(out, &snapshot, &err)) << err;
+  ASSERT_TRUE(snapshot.has_timeseries);
+  EXPECT_GE(snapshot.timeseries.ticks, 1);
   std::remove(out.c_str());
 }
 

@@ -1,9 +1,9 @@
 // Snapshot reader robustness battery: the parser must reject truncated
-// documents, duplicate object keys, and non-finite numerics, and must
-// validate the observability-plane sections (timeseries, system) with the
-// same accept/reject strictness as the core metric list. Accept cases
-// roundtrip through the real exporter (SnapshotToJson) so the reader and
-// writer can never drift apart silently.
+// documents, duplicate object keys, non-finite numerics and non-JSON
+// number syntax, and every snapshot and trace rule the reader documents
+// (snapshot_reader.h) has a negative case here. Accept cases roundtrip
+// through the real exporters (SnapshotToJson, TraceEventsToJson) so the
+// reader and writers can never drift apart silently.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +14,7 @@
 #include "telemetry/system_stats.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/timeseries.h"
+#include "telemetry/trace_span.h"
 
 namespace wmlp::telemetry {
 namespace {
@@ -33,6 +34,19 @@ std::string Doc(const std::string& extra) {
   return std::string("{\n  \"schema\": \"wmlp-telemetry-snapshot-v1\",\n") +
          "  \"telemetry_compiled\": false,\n" +
          "  \"uptime_seconds\": 1.0,\n  \"metrics\": []" + extra + "\n}\n";
+}
+
+// A document whose metrics array is `metrics`.
+std::string MetricsDoc(const std::string& metrics,
+                       const std::string& uptime = "1.0") {
+  return std::string("{\"schema\": \"wmlp-telemetry-snapshot-v1\", ") +
+         "\"telemetry_compiled\": true, \"uptime_seconds\": " + uptime +
+         ", \"metrics\": [" + metrics + "]}";
+}
+
+std::string CounterJson(const std::string& name, const std::string& value) {
+  return "{\"name\": \"" + name + "\", \"type\": \"counter\", " +
+         "\"value\": " + value + "}";
 }
 
 std::string TimeseriesDoc(const std::string& series,
@@ -238,6 +252,24 @@ TEST(SnapshotReaderTest, TimeseriesRejectBattery) {
       "", "\"period_seconds\": 1, \"retention\": 1, \"ticks\": 2")));
   EXPECT_TRUE(Rejects(TimeseriesDoc(
       "", "\"period_seconds\": 1, \"retention\": 4, \"ticks\": -1")));
+  // retention, ticks and window_count are integers.
+  EXPECT_TRUE(Rejects(TimeseriesDoc(
+      "", "\"period_seconds\": 1, \"retention\": 4.5, \"ticks\": 2")));
+  EXPECT_TRUE(Rejects(TimeseriesDoc(
+      "", "\"period_seconds\": 1, \"retention\": 4, \"ticks\": 2.5")));
+  EXPECT_TRUE(Rejects(
+      TimeseriesDoc("{\"name\": \"h\", \"type\": \"histogram\", "
+                    "\"times\": [0], \"values\": [0], "
+                    "\"window_count\": 1.5, \"p50\": 0, \"p99\": 0, "
+                    "\"p999\": 0}")));
+  // A quantile block without window_count is as partial as one without p50.
+  EXPECT_TRUE(Rejects(
+      TimeseriesDoc("{\"name\": \"h\", \"type\": \"histogram\", "
+                    "\"times\": [0], \"values\": [0], \"p50\": 1}")));
+  // Series names are non-empty.
+  EXPECT_TRUE(Rejects(
+      TimeseriesDoc("{\"name\": \"\", \"type\": \"counter\", "
+                    "\"times\": [0], \"values\": [0]}")));
 }
 
 TEST(SnapshotReaderTest, SystemAcceptAndRejectBattery) {
@@ -269,6 +301,147 @@ TEST(SnapshotReaderTest, SystemAcceptAndRejectBattery) {
       "\"hw\": 3")));
   // Wrong type for valid.
   EXPECT_TRUE(Rejects(broken("\"valid\": true", "\"valid\": 1")));
+  // cpu%, utime and stime are non-negative.
+  EXPECT_TRUE(
+      Rejects(broken("\"cpu_percent\": 12.5", "\"cpu_percent\": -1")));
+  EXPECT_TRUE(
+      Rejects(broken("\"utime_seconds\": 1.5", "\"utime_seconds\": -1")));
+  EXPECT_TRUE(
+      Rejects(broken("\"stime_seconds\": 0.5", "\"stime_seconds\": -1")));
+  // threads, open_fds and the hw counters are integers.
+  EXPECT_TRUE(Rejects(broken("\"threads\": 2", "\"threads\": 2.5")));
+  EXPECT_TRUE(Rejects(broken("\"open_fds\": 5", "\"open_fds\": 4.5")));
+  EXPECT_FALSE(Rejects(broken("\"open_fds\": 5", "\"open_fds\": -1")));
+  EXPECT_TRUE(Rejects(broken("\"cycles\": 100", "\"cycles\": 1e2")));
+  EXPECT_TRUE(
+      Rejects(broken("\"cache_misses\": 7", "\"cache_misses\": 7.5")));
+}
+
+// The four malformed snapshots an earlier reader accepted.
+TEST(SnapshotReaderTest, DocumentsTheOldReaderAcceptedAreRejected) {
+  // Negative uptime and a counter of -5 (which the old reader stored
+  // through a double -> uint64_t cast).
+  EXPECT_TRUE(Rejects(MetricsDoc(CounterJson("c", "-5"), "-1.0")));
+  EXPECT_TRUE(Rejects(MetricsDoc(CounterJson("c", "-5"))));
+  EXPECT_TRUE(Rejects(MetricsDoc("", "-1.0")));
+  // A counter of 1e30.
+  EXPECT_TRUE(Rejects(MetricsDoc(CounterJson("c", "1e30"))));
+  // Decreasing explicit bounds, and count 7 over buckets summing to 3.
+  const std::string bad_hist =
+      "{\"name\": \"h\", \"type\": \"histogram\", \"count\": 7, "
+      "\"sum\": 1.0, \"layout\": \"explicit\", \"bounds\": [10, 1], "
+      "\"counts\": [1, 1, 1]}";
+  EXPECT_TRUE(Rejects(MetricsDoc(bad_hist)));
+  // A duplicated metric name.
+  EXPECT_TRUE(Rejects(
+      MetricsDoc(CounterJson("c", "1") + ", " + CounterJson("c", "2"))));
+}
+
+TEST(SnapshotReaderTest, MetricRulesRejectBattery) {
+  ASSERT_FALSE(Rejects(MetricsDoc(CounterJson("c", "5"))));
+  // Names are non-empty.
+  EXPECT_TRUE(Rejects(MetricsDoc(CounterJson("", "5"))));
+  // Counter values are non-negative integer literals within 64 bits.
+  EXPECT_TRUE(Rejects(MetricsDoc(CounterJson("c", "5.0"))));
+  EXPECT_TRUE(Rejects(MetricsDoc(CounterJson("c", "5e0"))));
+  EXPECT_TRUE(Rejects(MetricsDoc(CounterJson("c", "18446744073709551616"))));
+  // Unique names across types.
+  EXPECT_TRUE(Rejects(MetricsDoc(
+      CounterJson("m", "1") +
+      ", {\"name\": \"m\", \"type\": \"gauge\", \"value\": 1}")));
+
+  auto hist = [](const std::string& count, const std::string& layout,
+                 const std::string& counts) {
+    return MetricsDoc("{\"name\": \"h\", \"type\": \"histogram\", "
+                      "\"count\": " + count + ", \"sum\": 3.0, " + layout +
+                      ", \"counts\": [" + counts + "]}");
+  };
+  const std::string expl = "\"layout\": \"explicit\", \"bounds\": [1, 10]";
+  ASSERT_FALSE(Rejects(hist("3", expl, "1, 2, 0")));
+  // Histogram counts and bucket counts are non-negative integers.
+  EXPECT_TRUE(Rejects(hist("-3", expl, "1, 2, 0")));
+  EXPECT_TRUE(Rejects(hist("3.5", expl, "1, 2, 0")));
+  EXPECT_TRUE(Rejects(hist("3", expl, "1, 2.5, -0.5")));
+  EXPECT_TRUE(Rejects(hist("3", expl, "4, -1, 0")));
+  // Buckets sum to count.
+  EXPECT_TRUE(Rejects(hist("7", expl, "1, 2, 0")));
+  // Explicit bounds strictly increase (equal bounds too are rejected).
+  EXPECT_TRUE(Rejects(
+      hist("3", "\"layout\": \"explicit\", \"bounds\": [1, 1]", "1, 2, 0")));
+  // pow2 layouts carry no bounds.
+  std::string sixty_four = "3";
+  for (int i = 1; i < 64; ++i) sixty_four += ", 0";
+  ASSERT_FALSE(Rejects(hist("3", "\"layout\": \"pow2\"", sixty_four)));
+  EXPECT_TRUE(Rejects(hist(
+      "3", "\"layout\": \"pow2\", \"bounds\": []", sixty_four)));
+}
+
+TEST(SnapshotReaderTest, IntegersAreReadExactly) {
+  SnapshotFile parsed;
+  std::string err;
+  ASSERT_TRUE(ParseSnapshot(
+      MetricsDoc(CounterJson("c", "18446744073709551615")), &parsed, &err))
+      << err;
+  ASSERT_EQ(parsed.metrics.size(), 1u);
+  EXPECT_EQ(parsed.metrics[0].counter_value, 18446744073709551615u);
+  // 2^53 + 1 has no double; the literal's exact value survives.
+  ASSERT_TRUE(ParseSnapshot(MetricsDoc(CounterJson("c", "9007199254740993")),
+                            &parsed, &err))
+      << err;
+  EXPECT_EQ(parsed.metrics[0].counter_value, 9007199254740993u);
+}
+
+TEST(SnapshotReaderTest, NumberGrammarIsStrictJson) {
+  JsonValue value;
+  std::string err;
+  for (const char* bad : {"[01]", "[+1]", "[.5]", "[1.]", "[1e]", "[-]",
+                          "[1.5.2]", "[0x10]"}) {
+    EXPECT_FALSE(ParseJson(bad, &value, &err)) << bad;
+  }
+  for (const char* good : {"[0]", "[-0]", "[10]", "[1.5]", "[-2.5e-3]",
+                           "[1E+2]", "[1e-400]"}) {
+    EXPECT_TRUE(ParseJson(good, &value, &err)) << good << ": " << err;
+  }
+}
+
+bool TraceRejects(const std::string& events) {
+  std::size_t count = 0;
+  std::string err;
+  const bool ok = ParseTrace(
+      "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [" + events + "]}",
+      &count, &err);
+  return !ok && !err.empty();
+}
+
+TEST(SnapshotReaderTest, TraceRules) {
+  std::vector<TraceEvent> events;
+  events.push_back(TraceEvent{"alpha", "cat_a", 1000, 2500, 0});
+  events.push_back(TraceEvent{"beta", "cat_b", 4000, 1, 3});
+  std::size_t count = 0;
+  std::string err;
+  ASSERT_TRUE(ParseTrace(TraceEventsToJson(events), &count, &err)) << err;
+  EXPECT_EQ(count, 2u);
+  ASSERT_TRUE(ParseTrace(TraceEventsToJson({}), &count, &err)) << err;
+  EXPECT_EQ(count, 0u);
+
+  auto event = [](const std::string& from, const std::string& to) {
+    std::string e =
+        "{\"name\": \"n\", \"cat\": \"c\", \"ph\": \"X\", \"pid\": 1, "
+        "\"tid\": 2, \"ts\": 1.5, \"dur\": 0.25}";
+    if (!from.empty()) e.replace(e.find(from), from.size(), to);
+    return e;
+  };
+  ASSERT_FALSE(TraceRejects(event("", "")));
+  EXPECT_TRUE(TraceRejects(event("\"ph\": \"X\"", "\"ph\": \"B\"")));
+  EXPECT_TRUE(TraceRejects(event("\"name\": \"n\"", "\"name\": \"\"")));
+  EXPECT_TRUE(TraceRejects(event("\"cat\": \"c\", ", "")));
+  EXPECT_TRUE(TraceRejects(event("\"pid\": 1", "\"pid\": 1.5")));
+  EXPECT_TRUE(TraceRejects(event("\"tid\": 2", "\"tid\": -2")));
+  EXPECT_TRUE(TraceRejects(event("\"ts\": 1.5", "\"ts\": -1.5")));
+  EXPECT_TRUE(TraceRejects(event("\"dur\": 0.25", "\"dur\": -0.25")));
+  EXPECT_TRUE(TraceRejects("3"));
+  EXPECT_FALSE(ParseTrace("{\"traceEvents\": {}}", &count, &err));
+  EXPECT_FALSE(ParseTrace("[]", &count, &err));
 }
 
 }  // namespace

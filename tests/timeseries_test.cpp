@@ -7,10 +7,14 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "telemetry/export.h"
+#include "telemetry/snapshot_reader.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/timeseries.h"
+#include "util/stats.h"
 
 namespace wmlp::telemetry {
 namespace {
@@ -136,6 +140,53 @@ TEST(TimeseriesSamplerTest, HistogramWindowQuantilesComeFromDeltas) {
   // 100 in-window samples over 1 second.
   ASSERT_EQ(s->rates.size(), 1u);
   EXPECT_DOUBLE_EQ(s->rates[0], 100.0);
+}
+
+// One quantile rule: the sampler's window quantiles and wmlp_stats's
+// reading of a snapshot file (BucketQuantile over the parsed buckets) agree
+// on the same buckets, including an explicit layout's overflow bucket,
+// which reports its lower edge.
+TEST(TimeseriesSamplerTest, WindowQuantilesMatchWmlpStatsOnTheSameBuckets) {
+  Histogram& overflow = Registry::Get().GetHistogram(
+      "tstest_overflow_hist", HistogramLayout::Explicit({1.0, 10.0}));
+  Histogram& pow2 = Registry::Get().GetHistogram(
+      "tstest_pow2_hist", HistogramLayout::PowerOfTwo());
+  TimeseriesOptions options;
+  options.retention = 4;
+  TimeseriesSampler sampler(options);
+  sampler.SampleOnce(0.0);
+  for (int i = 0; i < 5; ++i) overflow.Observe(50.0);
+  for (int i = 0; i < 100; ++i) pow2.Observe(5.0);
+  sampler.SampleOnce(1.0);
+  const SamplerSnapshot window = sampler.Snapshot();
+
+  // Every sample landed inside the window, so the whole-histogram buckets
+  // wmlp_stats reads from a snapshot file equal the window's deltas.
+  SnapshotFile file;
+  std::string err;
+  ASSERT_TRUE(ParseSnapshot(SnapshotToJson(Registry::Get().Collect(), 1.0),
+                            &file, &err))
+      << err;
+  for (const auto& [name, p50, p99] :
+       {std::tuple{"tstest_overflow_hist", 10.0, 10.0},
+        std::tuple{"tstest_pow2_hist", 6.0, 7.96}}) {
+    const MetricSeries* s = FindSeries(window, name);
+    ASSERT_NE(s, nullptr) << name;
+    ASSERT_TRUE(s->has_quantiles);
+    EXPECT_NEAR(s->p50, p50, 1e-9) << name;
+    EXPECT_NEAR(s->p99, p99, 1e-9) << name;
+    const MetricSnapshot* m = nullptr;
+    for (const MetricSnapshot& candidate : file.metrics) {
+      if (candidate.name == name) m = &candidate;
+    }
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(BucketQuantile(m->bucket_counts, m->bounds, m->pow2, 0.5),
+              s->p50)
+        << name;
+    EXPECT_EQ(BucketQuantile(m->bucket_counts, m->bounds, m->pow2, 0.99),
+              s->p99)
+        << name;
+  }
 }
 
 TEST(TimeseriesSamplerTest, PreSampleHookRunsBeforeEveryTick) {

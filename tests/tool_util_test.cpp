@@ -27,12 +27,18 @@ Flags MakeFlags(std::initializer_list<std::string> args) {
 TEST(ToolUtilTest, ParsesWellFormedFlags) {
   const Flags flags =
       MakeFlags({"--trials", "12", "--alpha", "0.75", "--out", "x.txt",
-                 "--verbose"});
+                 "--names", "a", "b{s=\"0\"}", "--verbose"});
   EXPECT_EQ(flags.GetInt("trials", 0), 12);
   EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0.0), 0.75);
   EXPECT_EQ(flags.GetString("out"), "x.txt");
   EXPECT_TRUE(flags.Has("verbose"));
   EXPECT_FALSE(flags.Has("missing"));
+  // A list flag takes every value up to the next flag.
+  EXPECT_EQ(flags.GetList("names"),
+            (std::vector<std::string>{"a", "b{s=\"0\"}"}));
+  EXPECT_EQ(flags.GetString("names"), "a");
+  EXPECT_TRUE(flags.GetList("verbose").empty());
+  EXPECT_TRUE(flags.GetList("missing").empty());
 }
 
 TEST(ToolUtilTest, MissingFlagsReturnDefaults) {

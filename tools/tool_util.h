@@ -11,6 +11,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "telemetry/export.h"
 
@@ -24,12 +25,18 @@ namespace wmlp::tools {
 class Flags {
  public:
   Flags(int argc, char** argv) {
+    std::vector<std::string>* list = nullptr;
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
+      if (arg.rfind("--", 0) != 0) {
+        if (list != nullptr) list->push_back(arg);
+        continue;
+      }
       arg = arg.substr(2);
+      list = &lists_[arg];
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[arg] = argv[++i];
+        list->push_back(values_[arg]);
       } else {
         values_[arg] = "";
       }
@@ -37,6 +44,13 @@ class Flags {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  // Every value after --key up to the next flag, for list flags such as
+  // `wmlp_stats --require-nonzero A B C`; GetString sees only the first.
+  std::vector<std::string> GetList(const std::string& key) const {
+    const auto it = lists_.find(key);
+    return it == lists_.end() ? std::vector<std::string>{} : it->second;
+  }
 
   std::string GetString(const std::string& key,
                         const std::string& def = "") const {
@@ -98,6 +112,7 @@ class Flags {
 
  private:
   std::map<std::string, std::string> values_;
+  std::map<std::string, std::vector<std::string>> lists_;
 };
 
 // The shared telemetry surface every instrumented tool accepts:
