@@ -9,8 +9,10 @@
 // Expected shape: on benign traces both engines give similar fractional
 // costs and the rounding tracks each at the same int/frac multiple; on
 // the adversarial loop the multiplicative engine's fractional advantage
-// (log k vs k) carries straight through the rounding. The linear engine
-// is several times faster (no exponentials).
+// (log k vs k) carries straight through the rounding. Speed is not a
+// reason to pick the linear engine: the multiplicative one runs through
+// the output-sensitive FractionalMlp and is as fast or faster here, while
+// the linear water-filling scans every page per segment.
 #include <chrono>
 #include <iostream>
 

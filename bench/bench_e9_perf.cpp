@@ -1,15 +1,22 @@
-// E9 (Table 4): throughput microbenchmarks — the systems-side claim that
-// the distribution-free rounding is "easy to implement and very efficient"
+// E9 (Table 4): throughput — the systems-side claim that the
+// distribution-free rounding is "easy to implement and very efficient"
 // compared to maintaining a distribution over cache states.
 //
 // Policies are constructed by registry name and driven through the engine
 // (TraceSource + Engine), i.e. the exact production serve loop. The
-// *Observed variant attaches a CostMeter + LatencyHistogram to measure the
-// observer indirection, which should be within noise of the bare run.
+// "lru+observers" row attaches a CostMeter + LatencyHistogram to measure
+// the observer indirection, which should be within noise of the bare run;
+// "fractional-only" runs the multiplicative fractional solver alone, the
+// floor under the randomized stack.
 //
-// Reports requests/second for each policy across (n, k, ell) points.
-#include <benchmark/benchmark.h>
+// Reports thousands of requests/second per policy across (n, k, ell)
+// points, each cell the best of bench::BestOf's reps over one 4000-request
+// run (policy construction and Attach included).
+#include <iostream>
+#include <string>
+#include <vector>
 
+#include "bench_util.h"
 #include "core/fractional.h"
 #include "engine/engine.h"
 #include "engine/step_observers.h"
@@ -27,77 +34,75 @@ Trace BenchTrace(int32_t n, int32_t k, int32_t ell) {
                  8);
 }
 
-void RunPolicyBench(benchmark::State& state, const std::string& name,
-                    bool observed = false) {
-  const int32_t n = static_cast<int32_t>(state.range(0));
-  const int32_t k = static_cast<int32_t>(state.range(1));
-  const int32_t ell = static_cast<int32_t>(state.range(2));
-  const Trace trace = BenchTrace(n, k, ell);
+double RunPolicy(const Trace& trace, const std::string& name, bool observed) {
+  auto policy = MakePolicyByName(name, 3);
   TraceSource source(trace);
-  for (auto _ : state) {
-    auto policy = MakePolicyByName(name, 3);
-    source.Reset();
-    CostMeter meter;
-    LatencyHistogram latency;
-    MultiObserver multi({&meter, &latency});
-    EngineOptions opts;
-    if (observed) opts.observer = &multi;
-    Engine engine(source, *policy, opts);
-    const SimResult res = engine.Run();
-    benchmark::DoNotOptimize(res.eviction_cost);
+  CostMeter meter;
+  LatencyHistogram latency;
+  MultiObserver multi({&meter, &latency});
+  EngineOptions opts;
+  if (observed) opts.observer = &multi;
+  Engine engine(source, *policy, opts);
+  return engine.Run().eviction_cost;
+}
+
+double RunFractionalOnly(const Trace& trace) {
+  FractionalMlp frac;
+  frac.Attach(trace.instance);
+  for (Time t = 0; t < trace.length(); ++t) {
+    frac.Serve(t, trace.requests[static_cast<size_t>(t)]);
   }
-  state.SetItemsProcessed(state.iterations() * trace.length());
+  return frac.lp_cost();
 }
-
-void BM_Lru(benchmark::State& state) { RunPolicyBench(state, "lru"); }
-void BM_LruObserved(benchmark::State& state) {
-  RunPolicyBench(state, "lru", /*observed=*/true);
-}
-void BM_Landlord(benchmark::State& state) {
-  RunPolicyBench(state, "landlord");
-}
-void BM_Waterfill(benchmark::State& state) {
-  RunPolicyBench(state, "waterfill");
-}
-void BM_Randomized(benchmark::State& state) {
-  RunPolicyBench(state, "randomized");
-}
-void BM_RandomizedLinearEngine(benchmark::State& state) {
-  RunPolicyBench(state, "fractional-rounded-linear");
-}
-
-void BM_FractionalOnly(benchmark::State& state) {
-  const int32_t n = static_cast<int32_t>(state.range(0));
-  const int32_t k = static_cast<int32_t>(state.range(1));
-  const int32_t ell = static_cast<int32_t>(state.range(2));
-  const Trace trace = BenchTrace(n, k, ell);
-  for (auto _ : state) {
-    FractionalMlp frac;
-    frac.Attach(trace.instance);
-    for (Time t = 0; t < trace.length(); ++t) {
-      frac.Serve(t, trace.requests[static_cast<size_t>(t)]);
-    }
-    benchmark::DoNotOptimize(frac.lp_cost());
-  }
-  state.SetItemsProcessed(state.iterations() * trace.length());
-}
-
-#define WMLP_PERF_ARGS                         \
-  ->Args({64, 8, 1})                           \
-      ->Args({256, 32, 1})                     \
-      ->Args({512, 64, 1})                     \
-      ->Args({64, 8, 2})                       \
-      ->Args({256, 32, 4})                     \
-      ->MinTime(0.1)                           \
-      ->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_Lru) WMLP_PERF_ARGS;
-BENCHMARK(BM_LruObserved) WMLP_PERF_ARGS;
-BENCHMARK(BM_Landlord) WMLP_PERF_ARGS;
-BENCHMARK(BM_Waterfill) WMLP_PERF_ARGS;
-BENCHMARK(BM_Randomized) WMLP_PERF_ARGS;
-BENCHMARK(BM_RandomizedLinearEngine) WMLP_PERF_ARGS;
-BENCHMARK(BM_FractionalOnly) WMLP_PERF_ARGS;
 
 }  // namespace
 }  // namespace wmlp
+
+int main(int argc, char** argv) {
+  using namespace wmlp;
+  const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
+
+  struct Point {
+    int32_t n, k, ell;
+  };
+  const std::vector<Point> points = {
+      {64, 8, 1}, {256, 32, 1}, {512, 64, 1}, {64, 8, 2}, {256, 32, 4}};
+  struct Row {
+    std::string label;
+    std::string policy;  // registry name; empty = fractional-only
+    bool observed = false;
+  };
+  const std::vector<Row> rows = {
+      {"lru", "lru", false},
+      {"lru+observers", "lru", true},
+      {"landlord", "landlord", false},
+      {"waterfill", "waterfill", false},
+      {"randomized", "randomized", false},
+      {"randomized (linear engine)", "fractional-rounded-linear", false},
+      {"fractional-only", "", false},
+  };
+
+  std::vector<std::string> header = {"policy"};
+  std::vector<Trace> traces;
+  for (const Point& p : points) {
+    header.push_back("n=" + std::to_string(p.n) + " k=" + std::to_string(p.k) +
+                     " l=" + std::to_string(p.ell));
+    traces.push_back(BenchTrace(p.n, p.k, p.ell));
+  }
+  Table table(header);
+  for (const Row& row : rows) {
+    std::vector<std::string> cells = {row.label};
+    for (const Trace& trace : traces) {
+      const bench::Timing timing = bench::BestOf([&] {
+        return row.policy.empty()
+                   ? RunFractionalOnly(trace)
+                   : RunPolicy(trace, row.policy, row.observed);
+      });
+      cells.push_back(
+          Fmt(1e6 * static_cast<double>(trace.length()) / timing.best_ns, 1));
+    }
+    table.AddRow(cells);
+  }
+  bench::EmitTable(args, "e9", "throughput_kreq_per_s", table);
+  return 0;
+}

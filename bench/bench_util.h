@@ -1,19 +1,21 @@
-// Shared helpers for the experiment binaries (bench_e*). Each binary prints
-// fixed-width tables to stdout and optionally CSV files next to them.
+// Shared helpers for the bench binaries: the argument parser and table
+// emitter of the experiment binaries (bench_e*), and the one timing core
+// every bench number goes through (BestOf).
 //
-// Flags:
+// Experiment flags (anything else, or --csv without a value, exits 2):
 //   --quick        shrink workloads (CI smoke)
 //   --csv <dir>    also write each table as <dir>/<experiment>_<name>.csv
 #pragma once
 
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <ostream>
 #include <string>
 
+#include "alloc_hook.h"
 #include "harness/table.h"
-#include "kernels/kernels.h"
 
 namespace wmlp::bench {
 
@@ -28,6 +30,9 @@ struct BenchArgs {
         args.quick = true;
       } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
         args.csv_dir = argv[++i];
+      } else {
+        std::cerr << "usage: " << argv[0] << " [--quick] [--csv DIR]\n";
+        std::exit(2);
       }
     }
     return args;
@@ -39,43 +44,46 @@ struct BenchArgs {
   }
 };
 
-// --- Machine/toolchain metadata for the JSON perf artifacts. --------------
-//
-// Every JSON-emitting bench stamps a `metadata` object so the perf gate
-// (scripts/check_perf_regression.py) can warn when the current run and the
-// checked-in baseline came from different machines or toolchains: ns/request
-// envelopes are machine-specific, and a cross-machine comparison is the
-// leading source of phantom "regressions".
+// One timed measurement: the fastest rep, the fewest heap allocations over
+// the reps (-1 when counting is compiled out, in debug builds), and the
+// callable's return value — the cell's deterministic cost.
+struct Timing {
+  double best_ns = 0.0;
+  int64_t allocs = -1;
+  double cost = 0.0;
+};
 
-inline std::string CpuModelName() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.compare(0, 10, "model name") != 0) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) break;
-    const auto start = line.find_first_not_of(" \t", colon + 1);
-    if (start == std::string::npos) break;
-    return line.substr(start);
+// The minimum number of reps BestOf runs; the perf JSON header reports it.
+inline constexpr int32_t kMinReps = 3;
+
+// Times `run` (a callable returning double): at least kMinReps reps, then
+// more until 50 ms have been measured, capped at 2000 reps. Without the
+// floor a ~30 us cell jitters well past the 25% regression gate from
+// scheduling noise alone. Binaries that call it link bench/alloc_hook.cpp.
+template <typename Fn>
+Timing BestOf(Fn&& run) {
+  constexpr double kMinMeasuredNs = 5e7;
+  constexpr int32_t kMaxReps = 2000;
+  using Clock = std::chrono::steady_clock;
+  Timing timing;
+  double total_ns = 0.0;
+  for (int32_t rep = 0;
+       rep < kMinReps || (total_ns < kMinMeasuredNs && rep < kMaxReps);
+       ++rep) {
+    const int64_t allocs_before = AllocCount();
+    const auto start = Clock::now();
+    timing.cost = run();
+    const double ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - start).count();
+    const int64_t allocs = AllocCount() - allocs_before;
+    total_ns += ns;
+    if (rep == 0 || ns < timing.best_ns) timing.best_ns = ns;
+    // Deterministic workloads allocate the same count every rep; the min
+    // guards against a stray lazy-init allocation in the first one.
+    if (rep == 0 || allocs < timing.allocs) timing.allocs = allocs;
   }
-  return "unknown";
-}
-
-inline std::string JsonEscapeMeta(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-// Writes the `"metadata": {...},` member (two-space indent, trailing comma)
-// into an in-progress top-level JSON object.
-inline void WriteJsonMetadata(std::ostream& os) {
-  os << "  \"metadata\": {\"cpu_model\": \"" << JsonEscapeMeta(CpuModelName())
-     << "\", \"isa\": \"" << kernels::IsaName() << "\", \"compiler\": \""
-     << JsonEscapeMeta(__VERSION__) << "\"},\n";
+  if (!AllocCountingEnabled()) timing.allocs = -1;
+  return timing;
 }
 
 inline void EmitTable(const BenchArgs& args, const std::string& experiment,

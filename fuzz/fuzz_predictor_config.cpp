@@ -1,6 +1,6 @@
 // libFuzzer target: the prediction-config surface (docs/ARCHITECTURE.md
 // §14) — noise-model validation, predictive-combiner options, and the
-// registry's "predictive:"/"lruk:" string parsers.
+// registry's "predictive:" string parser.
 //
 // Decodes the input bytes into NoiseOptions / PredictiveOptions whose eta,
 // lambda, and alpha come from raw double bit patterns (NaN, infinities,
@@ -21,8 +21,7 @@
 //      parser agrees with the structured API on every round-tripped
 //      config ("%.17g" preserves finite doubles exactly; "nan"/"inf"
 //      round-trip through strtod).
-//   4. "lruk:k=<v>" accepts exactly k in [1, 16].
-//   5. Accepted policies actually serve: two engine runs over the decoded
+//   4. Accepted policies actually serve: two engine runs over the decoded
 //      trace are bitwise identical (the determinism contract).
 #include <bit>
 #include <cmath>
@@ -199,20 +198,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                    "registry rejected a valid predictive spec");
   }
 
-  // --- 4: lruk:k= range gate --------------------------------------------
-  {
-    const int lruk = static_cast<int>(in.Next() % 24) - 3;  // -3..20
-    PolicyPtr lp = MakePolicyByName("lruk:k=" + std::to_string(lruk), seed);
-    if (lruk >= 1 && lruk <= 16) {
-      WMLP_CHECK_MSG(lp != nullptr, "in-range lruk:k rejected");
-    } else {
-      WMLP_CHECK_MSG(lp == nullptr, "out-of-range lruk:k accepted");
-    }
-  }
-
   if (parsed == nullptr) return 0;
 
-  // --- 5: accepted configs serve deterministically ----------------------
+  // --- 4: accepted configs serve deterministically ----------------------
   Trace trace{std::move(inst), {}};
   while (!in.done() && trace.length() < kMaxRequests) {
     Request r;

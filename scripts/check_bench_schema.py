@@ -5,17 +5,19 @@ Validates shape only — no timing judgement (that is
 check_perf_regression.py's job):
 
   * top-level: schema tag "wmlp-bench-perf-v1", git_sha string, optimized
-    boolean, non-empty results list, and a metadata object carrying
-    cpu_model / isa / compiler strings (the fields the regression gate's
-    mismatch warning keys on);
+    boolean, reps positive integer, non-empty results list, and a metadata
+    object carrying cpu_model / isa / compiler strings (the fields the
+    regression gate's mismatch warning keys on);
   * every cell: bench (string), n / k / ell / requests (integers),
     ns_per_request / allocs_per_request / cost (numbers);
-  * kernel-* cells additionally: gb_per_s / roofline_frac (numbers) — the
-    bandwidth columns bench_kernel_suite promises.
+  * kernel-* cells additionally: gb_per_s / roofline_frac (numbers), and
+    the top level a positive stream_copy_gb_per_s, the STREAM-copy
+    baseline every roofline_frac is divided by.
 
-CI's perf-smoke leg runs this on the kernel suite's --quick output so a
-writer regression (dropped field, renamed key, metadata left out) fails
-fast, without waiting for a full gated run on the reference machine.
+The bench_perf_smoke ctest and CI run this on bench_perf_suite's --quick
+output so a writer regression (dropped field, renamed key, metadata left
+out) fails fast, without waiting for a full gated run on the reference
+machine.
 
 Usage: check_bench_schema.py FILE [--require-kernel-rows]
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.
@@ -78,6 +80,9 @@ def main():
           "'git_sha' missing or not a string")
     check(errors, isinstance(doc.get("optimized"), bool),
           "'optimized' missing or not a boolean")
+    reps = doc.get("reps")
+    check(errors, isinstance(reps, int) and not isinstance(reps, bool) and
+          reps >= 1, "'reps' missing or not a positive integer")
 
     meta = doc.get("metadata")
     check(errors, isinstance(meta, dict), "'metadata' missing or not an "
@@ -101,6 +106,11 @@ def main():
     if args.require_kernel_rows:
         check(errors, kernel_rows > 0, "no kernel-* cells present "
               "(--require-kernel-rows)")
+    if kernel_rows:
+        stream = doc.get("stream_copy_gb_per_s")
+        check(errors, isinstance(stream, NUMBER) and stream > 0,
+              "kernel cells present but 'stream_copy_gb_per_s' missing or "
+              "not a positive number")
 
     if errors:
         print(f"SCHEMA CHECK FAILED for {args.file}:", file=sys.stderr)

@@ -8,8 +8,9 @@ Compares a current BENCH_perf.json against a checked-in baseline:
   * the fractional-fast solver must beat fractional-reference by at least
     --min-speedup x at the largest n where both ran with ell = 2 (the
     output-sensitivity acceptance criterion);
-  * every cell must stay allocation-free in steady state: a cell's total heap allocations (allocs_per_request *
-    requests, measured by the bench binaries' operator-new hook) must fit
+  * every cell must stay allocation-free in steady state: a cell's total
+    heap allocations (allocs_per_request * requests, measured by the perf
+    driver's operator-new hook) must fit
     an affine budget --alloc-setup-budget + --max-allocs-per-request *
     requests. The constant term absorbs policy construction and Attach;
     serve-* cells get 2*n extra constant budget for their O(n) per-rep
@@ -17,9 +18,7 @@ Compares a current BENCH_perf.json against a checked-in baseline:
     (default 0.01/request) catches any per-request
     allocation long before it reaches 1 per request. Baseline-independent:
     the budget is absolute, not relative to the recorded baseline.
-    The adaptive list-based contrast rows (arc, car, lruk, which allocate
-    per miss by design) and cells from debug builds (allocs_per_request
-    < 0) are exempt.
+    Only cells from debug builds (allocs_per_request < 0) are exempt.
 
 Cells present in only one file are reported but never fail the gate — the
 grids differ between --quick and full mode by design.
@@ -45,24 +44,13 @@ def cell_key(c):
     return (c["bench"], c["n"], c["ell"], c["requests"])
 
 
-def allocs_gated(bench):
-    """Whether the allocs/request budget applies to this bench.
-
-    The zero-steady-state-allocation contract covers every cell except the
-    adaptive list-based baselines (arc, car, lruk), which allocate
-    list/ghost nodes per miss by design and ride along as contrast rows.
-    """
-    return bench not in ("arc", "car", "lruk")
-
-
 def informational(bench):
     """Cells that are printed and merged but can never fail the gate.
 
-    serve-* wall-clock is dominated by thread scheduling; arc/car/lruk are
-    comparison baselines, not paper contributions — their ns/req is tracked
-    for context only.
+    serve-* wall-clock is dominated by thread scheduling (and includes the
+    ServeTrace setup), which jitters far past the 25% gate.
     """
-    return bench.startswith("serve-") or bench in ("arc", "car", "lruk")
+    return bench.startswith("serve-")
 
 
 def warn_metadata_mismatch(base, cur):
@@ -167,8 +155,8 @@ def main():
     failures = []
 
     # Per-cell regression check. Informational cells (serve-* sharded
-    # serving, arc/car/lruk comparison baselines) are printed but can
-    # never fail the gate — see informational() above.
+    # serving) are printed but can never fail the gate — see
+    # informational() above.
     compared = 0
     for key, c in sorted(cur_cells.items()):
         b = base_cells.get(key)
@@ -195,12 +183,12 @@ def main():
         failures.append("no cells in common between baseline and current run")
 
     # Allocation budget: absolute, over the current run only (no baseline
-    # needed), on every gated cell that was measured with the counting
-    # hook compiled in.
+    # needed), on every cell that was measured with the counting hook
+    # compiled in.
     alloc_checked = 0
     for key, c in sorted(cur_cells.items()):
         apr = c.get("allocs_per_request", -1.0)
-        if apr is None or apr < 0 or not allocs_gated(key[0]):
+        if apr is None or apr < 0:
             continue
         alloc_checked += 1
         total = apr * c["requests"]
@@ -225,7 +213,7 @@ def main():
         print(f"allocation budget checked on {alloc_checked} cells")
     else:
         print("note: no cells carried allocs_per_request; allocation budget "
-              "not checked (old bench binary or debug build)")
+              "not checked (debug build)")
 
     # Output-sensitivity check: fast vs reference at the largest common n
     # with ell = 2.

@@ -120,14 +120,14 @@ printf '\x09\x1f\x0f\x01\x05%b%b%b%b%b%b' \
   '\x01\x04s.js' '\x7f\xf8\x00\x00\x00\x00\x00\x00' \
   '\x00\x01\x05\x02\x0a\x01' > "$serve_dir/telemetry_reject.bin"
 # Reject paths: zero shards; huge batch (> kMaxBatch); unknown policy
-# (selector == KnownPolicyNames().size(), currently 18 = 0x12).
+# (selector == KnownPolicyNames().size(), currently 15 = 0x0f).
 printf '\x09\x1f\x0f\x01\x05%b%b%b' \
   '\x00\x00\x00\x00' '\x00\x00\x00\x02' \
   '\x00\x00\x00\x00\x00\x00\x01\x00' > "$serve_dir/reject_zero_shards.bin"
 printf '\x09\x1f\x0f\x01\x05%b%b%b' \
   '\x00\x00\x00\x02' '\x00\x00\x00\x02' \
   '\x7f\xff\xff\xff\xff\xff\xff\xff' > "$serve_dir/reject_huge_batch.bin"
-printf '\x12\x05\x02\x01\x03%b%b%b' \
+printf '\x0f\x05\x02\x01\x03%b%b%b' \
   '\x00\x00\x00\x02' '\x00\x00\x00\x01' \
   '\x00\x00\x00\x00\x00\x00\x00\x10' > "$serve_dir/reject_unknown_policy.bin"
 printf ''                                  > "$serve_dir/empty.bin"
@@ -136,10 +136,10 @@ printf ''                                  > "$serve_dir/empty.bin"
 #
 # Layout (fuzz/fuzz_predictor_config.cpp ByteReader): noise kind (mod 4),
 # eta as raw double bits (int64 BE), noise seed, n, k, ell, seed, lambda
-# and alpha as raw double bits, horizon as raw int64 BE, the lruk:k
-# selector byte, then (page, level) byte pairs. Seeds pin one accepted
-# config per noise model plus each documented reject path; eta/lambda
-# bit patterns reach NaN and out-of-range values directly.
+# and alpha as raw double bits, horizon as raw int64 BE, then (page,
+# level) byte pairs. Seeds pin one accepted config per noise model plus
+# each documented reject path; eta/lambda bit patterns reach NaN and
+# out-of-range values directly.
 
 D_ZERO='\x00\x00\x00\x00\x00\x00\x00\x00'           # 0.0
 D_QUARTER='\x3f\xd0\x00\x00\x00\x00\x00\x00'        # 0.25
@@ -153,32 +153,32 @@ I_NEG='\xff\xff\xff\xff\xff\xff\xff\xff'            # horizon -1
 
 PRED_REQS='\x00\x01\x01\x01\x02\x01\x00\x01\x03\x01\x01\x01\x04\x01\x00\x01'
 
-# lognormal eta=0.5, lambda=0.5 alpha=0.25 horizon=0, lruk byte 5 -> k=2.
-printf '\x01%b\x07\x0b\x03\x01\x05%b%b%b\x05%b' \
+# lognormal eta=0.5, lambda=0.5 alpha=0.25 horizon=0.
+printf '\x01%b\x07\x0b\x03\x01\x05%b%b%b%b' \
   "$D_HALF" "$D_HALF" "$D_QUARTER" "$I_ZERO" "$PRED_REQS" \
                                            > "$pred_dir/lognormal_valid.bin"
-# swap at its eta=1 boundary; lruk byte 19 -> k=16 (upper edge).
-printf '\x02%b\x03\x0b\x03\x01\x06%b%b%b\x13%b' \
+# swap at its eta=1 boundary.
+printf '\x02%b\x03\x0b\x03\x01\x06%b%b%b%b' \
   "$D_ONE" "$D_ONE" "$D_QUARTER" "$I_ZERO" "$PRED_REQS" \
                                            > "$pred_dir/swap_eta_one.bin"
-# stale epoch eta=1024; lruk byte 0 -> k=-3 (reject edge).
-printf '\x03%b\x04\x0b\x03\x01\x07%b%b%b\x00%b' \
+# stale epoch eta=1024.
+printf '\x03%b\x04\x0b\x03\x01\x07%b%b%b%b' \
   "$D_1024" "$D_ZERO" "$D_QUARTER" "$I_ZERO" "$PRED_REQS" \
                                            > "$pred_dir/stale_epoch.bin"
 # NaN eta: noise AND predictive AND registry-string must all reject.
-printf '\x01%b\x02\x0b\x03\x01\x08%b%b%b\x05' \
+printf '\x01%b\x02\x0b\x03\x01\x08%b%b%b' \
   "$D_NAN" "$D_HALF" "$D_QUARTER" "$I_ZERO" \
                                            > "$pred_dir/reject_nan_eta.bin"
 # kind=none with eta>0: the none-takes-eta-0 reject path.
-printf '\x00%b\x02\x0b\x03\x01\x09%b%b%b\x05' \
+printf '\x00%b\x02\x0b\x03\x01\x09%b%b%b' \
   "$D_HALF" "$D_HALF" "$D_QUARTER" "$I_ZERO" \
                                            > "$pred_dir/reject_none_eta.bin"
 # lambda=2 out of [0,1]: valid noise, rejected combiner.
-printf '\x00%b\x02\x0b\x03\x01\x0a%b%b%b\x05' \
+printf '\x00%b\x02\x0b\x03\x01\x0a%b%b%b' \
   "$D_ZERO" "$D_TWO" "$D_QUARTER" "$I_ZERO" \
                                            > "$pred_dir/reject_lambda_oob.bin"
 # horizon=-1: direct API rejects; the string spec omits the key and runs.
-printf '\x00%b\x02\x0b\x03\x01\x0b%b%b%b\x05%b' \
+printf '\x00%b\x02\x0b\x03\x01\x0b%b%b%b%b' \
   "$D_ZERO" "$D_HALF" "$D_QUARTER" "$I_NEG" "$PRED_REQS" \
                                            > "$pred_dir/reject_neg_horizon.bin"
 printf '\x01'                              > "$pred_dir/one_byte.bin"

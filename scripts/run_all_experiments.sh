@@ -15,38 +15,25 @@ for arg in "$@"; do
 done
 
 # Benchmarks must run optimized; a Debug build here once produced a
-# full_run.txt with google-benchmark's "Library was built as DEBUG" warning
-# and ~10x-off throughput numbers.
+# full_run.txt with ~10x-off throughput numbers.
 cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build >/dev/null
 mkdir -p "$OUT"
 
 {
   for b in build/bench/bench_e*; do
-    name=$(basename "$b")
-    echo "===== $name ====="
-    if [[ "$name" == "bench_e9_perf" ]]; then
-      "$b"
-    else
-      "$b" $QUICK --csv "$OUT"
-    fi
+    echo "===== $(basename "$b") ====="
+    "$b" $QUICK --csv "$OUT"
     echo
   done
 
-  # Machine-readable perf trajectory alongside the CSVs (E15). No gate
-  # here — scripts/run_benchmarks.sh owns the regression check.
+  # Machine-readable perf trajectory alongside the CSVs (E15-E17 and the
+  # kernel rows): the same full artifact scripts/run_benchmarks.sh writes.
+  # No gate here — run_benchmarks.sh owns the regression check.
   echo "===== bench_perf_suite ====="
   SHA=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
   build/bench/bench_perf_suite $QUICK --json "$OUT/BENCH_perf.json" \
     --git-sha "$SHA"
-  echo
-
-  # E16: sharded serving — cost vs shards (the static-split penalty) and
-  # throughput vs clients (docs/EXPERIMENTS.md). JSON goes to its own file
-  # here; run_benchmarks.sh owns the merged BENCH_perf.json artifact.
-  echo "===== bench_serve_throughput (E16) ====="
-  build/bench/bench_serve_throughput $QUICK \
-    --json "$OUT/BENCH_serve.json" --git-sha "$SHA"
 } | tee "$OUT/full_run.txt"
 
 echo "wrote $OUT/full_run.txt (+ per-table CSVs + BENCH_perf.json)"

@@ -26,8 +26,7 @@ done
 # Same rationale as run_all_experiments.sh: throughput from an unoptimized
 # build is meaningless, and the regression gate would fire spuriously.
 cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build --target bench_perf_suite bench_serve_throughput \
-  bench_batch_sweep bench_kernel_suite >/dev/null
+cmake --build build --target bench_perf_suite >/dev/null
 mkdir -p "$OUT"
 # Catch an unwritable output directory up front: a read-only $OUT would
 # otherwise surface as a confusing downstream parse error (or, worse, a
@@ -40,49 +39,24 @@ rm -f "$OUT/.write_probe"
 
 SHA=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 
-# Intermediate per-suite artifacts, removed on both the success and the
-# failure path.
-PARTS=("$OUT/BENCH_perf.solver.json" "$OUT/BENCH_perf.serve.json"
-       "$OUT/BENCH_perf.batch.json" "$OUT/BENCH_perf.kernel.json")
-
-# Runs one bench binary and propagates a non-zero exit explicitly: a suite
-# that dies after writing a partial JSON (or before writing one at all)
-# must abort the whole run here, never reach the merge below — a merged
-# artifact built from partial results would gate (and worse, could be
-# recorded as a baseline) as if it were a complete run.
-run_bench() {
-  "$@" && return 0
+# Runs the perf driver into $1 and propagates a non-zero exit explicitly,
+# removing the partial JSON: a run that dies after writing part of its
+# output must never be gated, or recorded as a baseline, as if complete.
+run_perf() {
+  build/bench/bench_perf_suite $QUICK --json "$1" --git-sha "$SHA" && return 0
   local status=$?
-  echo "error: $1 exited with status $status; aborting without merging" \
-    "partial results" >&2
-  rm -f "${PARTS[@]}"
+  echo "error: bench_perf_suite exited with status $status" >&2
+  rm -f "$1"
   exit "$status"
 }
 
-run_bench build/bench/bench_perf_suite $QUICK \
-  --json "$OUT/BENCH_perf.solver.json" --git-sha "$SHA"
-run_bench build/bench/bench_serve_throughput $QUICK \
-  --json "$OUT/BENCH_perf.serve.json" --git-sha "$SHA"
-run_bench build/bench/bench_batch_sweep $QUICK \
-  --json "$OUT/BENCH_perf.batch.json" --git-sha "$SHA"
-run_bench build/bench/bench_kernel_suite $QUICK \
-  --json "$OUT/BENCH_perf.kernel.json" --git-sha "$SHA"
-# One merged artifact: solver cells (gated) + serve-* cells (informational;
-# the gate skips them by bench-name prefix) + batch<b>-<policy> sweep
-# cells + kernel-* microbenchmark cells. The cell sets are disjoint, so
-# --merge-max is a plain union here.
-python3 scripts/check_perf_regression.py --out "$OUT/BENCH_perf.json" \
-  --merge-max "${PARTS[@]}"
-rm -f "${PARTS[@]}"
+# One artifact: solver cells, serve-* cells (informational; the gate skips
+# them by bench-name prefix), batch<b>-<policy> sweep cells and kernel-*
+# microbenchmark cells, all from one process.
+run_perf "$OUT/BENCH_perf.json"
 
-# Fail loudly if the merged artifact did not materialize or has no cells —
-# every downstream consumer (the gate, CI artifact upload, plotting)
-# assumes this file is real.
-if [[ ! -s "$OUT/BENCH_perf.json" ]]; then
-  echo "error: $OUT/BENCH_perf.json is missing or empty after the" \
-    "benchmark run; see the bench output above" >&2
-  exit 1
-fi
+# Fail loudly if the artifact has no cells — every downstream consumer (the
+# gate, CI artifact upload, plotting) assumes this file is real.
 if ! python3 -c "
 import json, sys
 with open('$OUT/BENCH_perf.json') as f:
@@ -111,20 +85,12 @@ if [[ "$UPDATE" -eq 1 ]]; then
   # still shifts 20-30% between processes (allocator layout, frequency
   # scaling). Record two more runs and keep each cell's slowest
   # observation — a conservative envelope the gate compares against.
-  run_bench build/bench/bench_perf_suite $QUICK \
-    --json "$OUT/BENCH_perf.run2.json" --git-sha "$SHA" >/dev/null
-  run_bench build/bench/bench_perf_suite $QUICK \
-    --json "$OUT/BENCH_perf.run3.json" --git-sha "$SHA" >/dev/null
-  run_bench build/bench/bench_batch_sweep $QUICK \
-    --json "$OUT/BENCH_perf.batch2.json" --git-sha "$SHA" >/dev/null
-  run_bench build/bench/bench_kernel_suite $QUICK \
-    --json "$OUT/BENCH_perf.kernel2.json" --git-sha "$SHA" >/dev/null
+  run_perf "$OUT/BENCH_perf.run2.json" >/dev/null
+  run_perf "$OUT/BENCH_perf.run3.json" >/dev/null
   python3 scripts/check_perf_regression.py --out "$BASELINE" --merge-max \
     "$OUT/BENCH_perf.json" "$OUT/BENCH_perf.run2.json" \
-    "$OUT/BENCH_perf.run3.json" "$OUT/BENCH_perf.batch2.json" \
-    "$OUT/BENCH_perf.kernel2.json"
-  rm -f "$OUT/BENCH_perf.run2.json" "$OUT/BENCH_perf.run3.json" \
-    "$OUT/BENCH_perf.batch2.json" "$OUT/BENCH_perf.kernel2.json"
+    "$OUT/BENCH_perf.run3.json"
+  rm -f "$OUT/BENCH_perf.run2.json" "$OUT/BENCH_perf.run3.json"
   echo "updated $BASELINE"
 else
   python3 scripts/check_perf_regression.py \

@@ -140,8 +140,9 @@ class FractionalMlp final : public FractionalPolicy {
   // PrefetchPage hints, issued kernels::kBatchPrefetchDistance requests
   // ahead, and only when the per-page state exceeds the §13 footprint
   // gate (below it every row is LLC-resident and the hints are pure
-  // overhead). This is what the engine-less drivers (bench perf suite,
-  // server drain) should feed whole request runs through.
+  // overhead). Only the perf driver's fractional-fast cells and
+  // tests/fractional_fast_test.cpp call it; the engine and the server
+  // drain serve through the policy stack's per-request Serve.
   void ServeBatch(Time t0, std::span<const Request> reqs);
   double U(PageId p, Level i) const override;
   void PrefetchPage(PageId p) const override;

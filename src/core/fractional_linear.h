@@ -7,9 +7,10 @@
 // perfectly valid input to the distribution-free rounding, which the
 // paper emphasizes is "independent of the way the fractional solution is
 // generated" (Section 4.3). Pairing the same rounding with both engines
-// exercises exactly that modularity claim (bench_e13), and the linear
-// dynamics integrate in closed form without exponentials, so this engine
-// is also several times faster.
+// exercises exactly that modularity claim (bench_e13). The linear
+// dynamics integrate in closed form without exponentials, but each segment
+// scans all n pages, so this engine is not faster than the
+// output-sensitive FractionalMlp (E13 measures both).
 #pragma once
 
 #include "core/fractional.h"

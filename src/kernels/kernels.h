@@ -66,9 +66,9 @@ bool ScalarForced();
 
 // Engine-side prefetch distance for the batched serve front (requests
 // ahead of the one being served whose per-page rows get prefetched).
-// Tuned by bench_kernel_suite's gather-stream sweep: on the reference
-// machine the miss latency of a 64-byte PageRec row is covered at
-// distance ~8 and flat beyond it.
+// Tuned by the perf driver's gather sweep (bench_perf_suite's
+// kernel-gather-pf* rows): on the reference machine the miss latency of a
+// 64-byte PageRec row is covered at distance ~8 and flat beyond it.
 inline constexpr int32_t kBatchPrefetchDistance = 8;
 
 // Footprint gate for the batched prefetch front: a policy reports a

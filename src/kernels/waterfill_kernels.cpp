@@ -18,7 +18,7 @@ namespace {
 // Entries ahead of the current block whose per-page rows get
 // prefetched: the gather of key[page] is the pass's only irregular
 // access, and covering its miss latency is where the kernel's win over
-// the plain std::remove_if lives (bench_kernel_suite's sweep).
+// the plain std::remove_if lives (the perf driver's gather sweep).
 constexpr size_t kCompactPrefetch = 16;
 
 template <class V>

@@ -5,12 +5,9 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "baselines/arc.h"
-#include "baselines/car.h"
 #include "baselines/clock.h"
 #include "baselines/fifo.h"
 #include "baselines/landlord.h"
-#include "baselines/lru_k.h"
 #include "baselines/sieve.h"
 #include "baselines/two_q.h"
 #include "baselines/lfu.h"
@@ -155,9 +152,6 @@ PolicyPtr MakePolicyByName(const std::string& name, uint64_t seed) {
     options.engine = FractionalEngine::kReference;
     return MakeRandomizedPolicy(seed, options);
   }
-  if (name == "arc") return std::make_unique<ArcPolicy>();
-  if (name == "car") return std::make_unique<CarPolicy>();
-  if (name == "lruk") return std::make_unique<LruKPolicy>();
   if (name == "unknown-weights") {
     return std::make_unique<predict::UnknownWeightsPolicy>();
   }
@@ -175,14 +169,6 @@ PolicyPtr MakePolicyByName(const std::string& name, uint64_t seed) {
     // on out-of-range lambda/alpha/eta/horizon.
     return predict::MakePredictivePolicy(seed, options);
   }
-  constexpr char kLrukPrefix[] = "lruk:k=";
-  if (name.rfind(kLrukPrefix, 0) == 0) {
-    char* end = nullptr;
-    const char* raw = name.c_str() + sizeof(kLrukPrefix) - 1;
-    const long k = std::strtol(raw, &end, 10);
-    if (end == raw || *end != '\0' || k < 1 || k > 16) return nullptr;
-    return std::make_unique<LruKPolicy>(static_cast<int32_t>(k));
-  }
   constexpr char kPrefix[] = "randomized:";
   if (name.rfind(kPrefix, 0) == 0) {
     RandomizedOptions options;
@@ -199,8 +185,7 @@ std::vector<std::string> KnownPolicyNames() {
           "sieve",      "2q",       "lfu",
           "random",     "marking",  "landlord",
           "waterfill",  "randomized", "fractional-rounded-linear",
-          "fractional-rounded-reference", "arc", "car",
-          "lruk",       "predictive", "unknown-weights"};
+          "fractional-rounded-reference", "predictive", "unknown-weights"};
 }
 
 }  // namespace wmlp

@@ -92,7 +92,8 @@ class Policy {
   // observable state may change — and the default (distance 0) keeps
   // policies with small working sets free of the extra virtual call.
   // Distances are capped by the caller; kernels::kBatchPrefetchDistance is
-  // the tuned default for SoA-heavy policies (bench_kernel_suite sweep).
+  // the tuned default for SoA-heavy policies (bench_perf_suite's gather
+  // sweep).
   virtual int32_t PrefetchDistance() const { return 0; }
   virtual void Prefetch(const Request& /*r*/) const {}
 
