@@ -9,12 +9,17 @@
 // Expected shape: fractional inflation stays below 2x down to coarse
 // grids; rounding quality is insensitive to delta until the grid gets very
 // coarse (delta ~ 1/k).
+//
+// The fractional costs are the stack's own, on the class-ceiling weights
+// the randomized policy attaches it to; the rounded costs are at the real
+// weights.
 #include <iostream>
 
 #include "bench_util.h"
 #include "core/discretize.h"
 #include "core/randomized.h"
 #include "core/rounding_multilevel.h"
+#include "core/weight_classes.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "util/stats.h"
@@ -33,7 +38,8 @@ int main(int argc, char** argv) {
 
   // Exact fractional cost (no discretization).
   FractionalMlp exact;
-  exact.Attach(inst);
+  const ClassCeilingInstance stack_inst(inst);
+  exact.Attach(stack_inst.get());
   for (Time t = 0; t < trace.length(); ++t) {
     exact.Serve(t, trace.requests[static_cast<size_t>(t)]);
   }
@@ -55,7 +61,7 @@ int main(int argc, char** argv) {
     } else {
       DiscretizedFractional disc(std::make_unique<FractionalMlp>(),
                                  dc.delta);
-      disc.Attach(inst);
+      disc.Attach(stack_inst.get());
       for (Time t = 0; t < trace.length(); ++t) {
         disc.Serve(t, trace.requests[static_cast<size_t>(t)]);
       }

@@ -12,12 +12,14 @@
 // (log k vs k) carries straight through the rounding. Speed is not a
 // reason to pick the linear engine: the multiplicative one runs through
 // the output-sensitive FractionalMlp and is as fast or faster here, while
-// the linear water-filling scans every page per segment.
+// the linear water-filling scans every page per segment. frac/OPT is the
+// stack's own cost, on the class-ceiling weights the policy runs it on.
 #include <chrono>
 #include <iostream>
 
 #include "bench_util.h"
 #include "core/randomized.h"
+#include "core/weight_classes.h"
 #include "engine/engine.h"
 #include "offline/weighted_opt.h"
 #include "registry/policy_registry.h"
@@ -54,7 +56,8 @@ EngineRun RunEngine(const Trace& trace, FractionalEngine engine,
   }
   const auto end = std::chrono::steady_clock::now();
   FractionalPolicyPtr frac = MakeFractionalStack(opts);
-  frac->Attach(trace.instance);
+  const ClassCeilingInstance stack_inst(trace.instance);
+  frac->Attach(stack_inst.get());
   for (Time t = 0; t < trace.length(); ++t) {
     frac->Serve(t, trace.requests[static_cast<size_t>(t)]);
   }

@@ -10,6 +10,8 @@
 // evictions collapse as beta passes ~log k; the paper's 4 ln k choice
 // makes resets negligible (the worst-case-safe point), while smaller beta
 // can win on benign traces — the constant-factor trade the theory hides.
+// The fractional cost is the stack's own, on the class-ceiling weights it
+// runs on; the integral cost is at the real weights.
 #include <cmath>
 #include <iostream>
 

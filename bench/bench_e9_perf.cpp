@@ -6,8 +6,9 @@
 // (TraceSource + Engine), i.e. the exact production serve loop. The
 // "lru+observers" row attaches a CostMeter + LatencyHistogram to measure
 // the observer indirection, which should be within noise of the bare run;
-// "fractional-only" runs the multiplicative fractional solver alone, the
-// floor under the randomized stack.
+// "fractional-only" runs the multiplicative fractional solver alone on the
+// class-ceiling weights the randomized policy attaches it to, the floor
+// under the randomized stack.
 //
 // Reports thousands of requests/second per policy across (n, k, ell)
 // points, each cell the best of bench::BestOf's reps over one 4000-request
@@ -18,6 +19,7 @@
 
 #include "bench_util.h"
 #include "core/fractional.h"
+#include "core/weight_classes.h"
 #include "engine/engine.h"
 #include "engine/step_observers.h"
 #include "registry/policy_registry.h"
@@ -46,9 +48,11 @@ double RunPolicy(const Trace& trace, const std::string& name, bool observed) {
   return engine.Run().eviction_cost;
 }
 
+// The copy is made inside the timed run, as the policy's Attach makes it.
 double RunFractionalOnly(const Trace& trace) {
+  const ClassCeilingInstance stack_inst(trace.instance);
   FractionalMlp frac;
-  frac.Attach(trace.instance);
+  frac.Attach(stack_inst.get());
   for (Time t = 0; t < trace.length(); ++t) {
     frac.Serve(t, trace.requests[static_cast<size_t>(t)]);
   }

@@ -11,7 +11,9 @@
 //      whitespace. Anything else — unknown keys, empty items, typos — is
 //      rejected, never reinterpreted.
 //   3. An accepted spec builds a policy that serves a small multi-level
-//      trace, and two runs with the same seed are bitwise identical.
+//      trace, and two runs with the same seed are bitwise identical. The
+//      trace has per-page weights, which are not powers of two, so the
+//      policy's fractional stack runs on a class-ceiling copy.
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -83,7 +85,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                      << " against the documented grammar");
   if (!accepted) return 0;
   Instance inst(10, 3, 2,
-                MakeWeights(10, 2, WeightModel::kGeometricLevels, 4.0, 1));
+                MakeWeights(10, 2, WeightModel::kLogUniform, 16.0, 1));
   const Trace trace = GenZipf(inst, 60, 0.7, LevelMix::UniformMix(2), 2);
   const SimResult first = Simulate(trace, *policy);
   const PolicyPtr again = MakePolicyByName("randomized:" + params, 7);

@@ -39,8 +39,11 @@
 // events) and G the number of distinct w(p, cursor) weights in the active
 // set — instead of O(n ell) per segment. Hierarchies with shared level
 // weights (the common case: level costs are device properties) have
-// G <= ell; fully per-page weight models degrade gracefully to the
-// reference's per-segment cost.
+// G <= ell. Fully per-page weight models degrade gracefully to the
+// reference's per-segment cost. The randomized policy does not meet that
+// regime: it attaches this solver to class-ceiling weights (G <= number of
+// weight classes; ClassCeilingInstance in core/weight_classes.h), so the
+// degradation applies to direct callers on per-page weights.
 //
 // The trajectory matches FractionalMlpReference to fp accuracy
 // (cross-checked to 1e-9 by tests/fractional_fast_test.cpp over randomized

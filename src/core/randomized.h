@@ -32,7 +32,9 @@ PolicyPtr MakeRandomizedPolicy(uint64_t seed,
                                const RandomizedOptions& options = {});
 
 // The fractional stack below the rounding — exactly what the policy runs
-// (for experiments that need the fractional cost alone).
+// (for experiments that need the fractional cost alone). The policy
+// attaches it to ClassCeilingInstance(instance).get(); a caller timing the
+// stack alone attaches it the same way.
 FractionalPolicyPtr MakeFractionalStack(const RandomizedOptions& options = {});
 
 }  // namespace wmlp

@@ -34,7 +34,8 @@ void RoundedMultiLevel::Attach(const Instance& instance) {
               : 4.0 * std::log(static_cast<double>(instance.cache_size()) +
                                1.0);
   beta_ = std::max(beta_, 1.0);
-  fractional_->Attach(instance);
+  stack_.emplace(instance);
+  fractional_->Attach(stack_->get());
   classes_ = std::make_unique<WeightClasses>(instance);
   const size_t classes = static_cast<size_t>(classes_->num_classes());
   theta_.assign(static_cast<size_t>(instance.num_pages()), 1.0);
@@ -109,11 +110,10 @@ void RoundedMultiLevel::Serve(Time t, const Request& r, CacheOps& ops) {
 }
 
 void RoundedMultiLevel::ResetPass(Time t, const Request& r, CacheOps& ops) {
-  const Instance& inst = *instance_;
   auto class_of_cached = [&](PageId q) {
     return classes_->class_of(q, ops.cache().level_of(q));
   };
-  fractional_->ClassSuffixMass(inst, mass_lo_, mass_hi_);
+  fractional_->ClassSuffixMass(stack_->get(), mass_lo_, mass_hi_);
   int64_t suffix_cached = 0;
   for (int32_t c = classes_->num_classes() - 1; c >= 0; --c) {
     suffix_cached += cached_per_class_[static_cast<size_t>(c)];
@@ -139,9 +139,13 @@ void RoundedMultiLevel::ResetPass(Time t, const Request& r, CacheOps& ops) {
       // (its cached copy sits at a cheap level while most of its mass sits
       // at an expensive one), leaving class c with p_t as its only member
       // while heavier classes exactly meet their ceilings. Then evicting
-      // the cheapest other cached copy is always feasibility-safe: it
-      // belongs to some class c' >= c, so every violated suffix count
-      // (all have class <= c') drops by one.
+      // the cheapest other cached copy of a class c' >= c is always
+      // feasibility-safe: every violated suffix count (all have class
+      // <= c') drops by one, and heavier suffixes only lose a copy. One
+      // exists: if p_t's copy is in the suffix it brings a full unit of
+      // mass, so the suffix holds at least two copies. "Cheapest" reads the
+      // stack's weights, so the choice among copies of one class does not
+      // depend on where the real weights sit inside it.
       PageId victim = -1;
       for (PageId q : ops.cache().pages()) {
         if (q != r.page && class_of_cached(q) == c) {
@@ -152,8 +156,8 @@ void RoundedMultiLevel::ResetPass(Time t, const Request& r, CacheOps& ops) {
       if (victim < 0) {
         Cost best = std::numeric_limits<Cost>::infinity();
         for (PageId q : ops.cache().pages()) {
-          if (q == r.page) continue;
-          const Cost w = inst.weight(q, ops.cache().level_of(q));
+          if (q == r.page || class_of_cached(q) < c) continue;
+          const Cost w = stack_->get().weight(q, ops.cache().level_of(q));
           if (w < best) {
             best = w;
             victim = q;
@@ -164,7 +168,6 @@ void RoundedMultiLevel::ResetPass(Time t, const Request& r, CacheOps& ops) {
                      "type-" << c << " reset with no evictable copy at t="
                              << t);
       const int32_t victim_class = class_of_cached(victim);
-      WMLP_CHECK(victim_class >= c);
       --cached_per_class_[static_cast<size_t>(victim_class)];
       fractional_->DisarmWatch(victim);
       ops.Evict(victim);
@@ -186,7 +189,7 @@ void RoundedMultiLevel::ResetPass(Time t, const Request& r, CacheOps& ops) {
 
 void RoundedMultiLevel::ScanMasses(std::span<double> out) const {
   ScanClassSuffixMass(
-      *instance_,
+      stack_->get(),
       [this](PageId p, Level i) { return fractional_->U(p, i); }, out);
 }
 
@@ -199,7 +202,7 @@ void RoundedMultiLevel::CheckConsistency(const CacheOps& ops, Time t) const {
   check_lo_.resize(classes);
   check_hi_.resize(classes);
   ScanMasses(mass);
-  fractional_->ClassSuffixMass(inst, check_lo_, check_hi_);
+  fractional_->ClassSuffixMass(stack_->get(), check_lo_, check_hi_);
   cached.assign(classes, 0);
   for (PageId p = 0; p < inst.num_pages(); ++p) {
     const Level c = ops.cache().level_of(p);

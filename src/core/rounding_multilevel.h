@@ -32,8 +32,18 @@
 // over the pages whose fractional value moved. tests/rounding_oracle.h
 // keeps the stepwise form as a test oracle; the distribution battery in
 // tests/rounding_distribution_test.cpp checks the two agree.
+//
+// Class-ceiling weights: the fractional stack is attached to the
+// instance with every weight w snapped up to its class ceiling
+// w^ = 2^ClassOf(w) (ClassCeilingInstance in core/weight_classes.h). Every
+// copy keeps its class, so the rounding's classes, watches and resets read
+// the same values; the cache, and every eviction cost reported, keep the
+// real weights. The solver's weight groups collapse from up to n
+// (per-page weights) to at most the number of classes, and the guarantee
+// loses at most a factor of 2: ALG(w) <= ALG(w^) <= c OPT(w^) <= 2c OPT(w).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/fractional.h"
@@ -108,6 +118,7 @@ class RoundedMultiLevel final : public Policy {
   MultiLevelRoundingOptions options_;
   double beta_ = 0.0;
   const Instance* instance_ = nullptr;
+  std::optional<ClassCeilingInstance> stack_;  // what fractional_ runs on
   std::unique_ptr<WeightClasses> classes_;
   std::vector<double> theta_;  // per page; meaningful while cached
   std::vector<int32_t> cached_per_class_;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 
 #include "trace/instance.h"
@@ -35,6 +36,18 @@ class WeightClasses {
     return w <= bound ? e : e + 1;
   }
 
+  // The class ceiling 2^ClassOf(w): the weight the randomized policy's
+  // fractional stack runs on (ClassCeilingInstance below). It keeps w's
+  // class and lies in [w / (1 + 1e-12), 2w). Class 1024 (weights above
+  // 2^1023 (1 + 1e-12)) would give 2^1024 = inf, so it clamps to the
+  // largest finite double, which is in that class too.
+  static Cost Ceiling(Cost w) {
+    const int32_t c = ClassOf(w);
+    return c > 1023 ? std::numeric_limits<Cost>::max()
+                    : std::bit_cast<double>(static_cast<uint64_t>(c + 1023)
+                                            << 52);
+  }
+
   // O(1): classes are read from the instance's weights on demand, so
   // attaching costs nothing per page. ClassOf is monotone, so the
   // heaviest copy has the largest class.
@@ -50,6 +63,35 @@ class WeightClasses {
  private:
   const Instance* instance_;
   int32_t num_classes_;
+};
+
+// The instance the randomized policy's fractional stack runs on
+// (core/rounding_multilevel.h): `source` with every weight w replaced by
+// WeightClasses::Ceiling(w). When every weight is already its own ceiling
+// (all powers of two, or the clamped top) that is `source` itself and
+// nothing is copied; otherwise it owns one flat copy. `source` must outlive
+// it. The policy, the rounding test oracle and the benches that time the
+// stack alone all attach through this one type.
+class ClassCeilingInstance {
+ public:
+  explicit ClassCeilingInstance(const Instance& source) : source_(&source) {
+    for (PageId p = 0; p < source.num_pages(); ++p) {
+      for (Level i = 1; i <= source.num_levels(); ++i) {
+        const Cost w = source.weight(p, i);
+        if (WeightClasses::Ceiling(w) != w) {
+          copy_ = std::make_unique<const Instance>(
+              source.MapWeights(WeightClasses::Ceiling));
+          return;
+        }
+      }
+    }
+  }
+
+  const Instance& get() const { return copy_ != nullptr ? *copy_ : *source_; }
+
+ private:
+  const Instance* source_;
+  std::unique_ptr<const Instance> copy_;  // null: source is its own ceiling
 };
 
 // Class-suffix cached mass S(c) = sum_p (1 - u(p, j_p(c))) (see

@@ -13,28 +13,51 @@ Instance Instance::Uniform(int32_t num_pages, int32_t cache_size, Cost w) {
   return Instance(num_pages, cache_size, 1, std::move(weights));
 }
 
+namespace {
+
+std::vector<Cost> Flatten(int32_t num_pages, int32_t num_levels,
+                          const std::vector<std::vector<Cost>>& rows) {
+  WMLP_CHECK(num_pages >= 1);
+  WMLP_CHECK(num_levels >= 1);
+  WMLP_CHECK_MSG(static_cast<int32_t>(rows.size()) == num_pages,
+                 "one weight row per page");
+  std::vector<Cost> flat;
+  flat.reserve(static_cast<size_t>(num_pages) *
+               static_cast<size_t>(num_levels));
+  for (const auto& row : rows) {
+    WMLP_CHECK_MSG(static_cast<int32_t>(row.size()) == num_levels,
+                   "one weight per level");
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  return flat;
+}
+
+}  // namespace
+
 Instance::Instance(int32_t num_pages, int32_t cache_size, int32_t num_levels,
                    std::vector<std::vector<Cost>> weights)
+    : Instance(Flat{}, num_pages, cache_size, num_levels,
+               Flatten(num_pages, num_levels, weights)) {}
+
+Instance::Instance(Flat, int32_t num_pages, int32_t cache_size,
+                   int32_t num_levels, std::vector<Cost> weights)
     : num_pages_(num_pages),
       cache_size_(cache_size),
-      num_levels_(num_levels) {
+      num_levels_(num_levels),
+      weights_(std::move(weights)) {
   WMLP_CHECK(num_pages >= 1);
   WMLP_CHECK(cache_size >= 1);
   WMLP_CHECK(num_levels >= 1);
-  WMLP_CHECK_MSG(static_cast<int32_t>(weights.size()) == num_pages,
-                 "one weight row per page");
-  weights_.reserve(static_cast<size_t>(num_pages) *
-                   static_cast<size_t>(num_levels));
-  for (const auto& row : weights) {
-    WMLP_CHECK_MSG(static_cast<int32_t>(row.size()) == num_levels,
-                   "one weight per level");
-    for (size_t i = 0; i < row.size(); ++i) {
-      WMLP_CHECK_MSG(row[i] >= 1.0, "weights must be >= 1");
+  WMLP_CHECK(weights_.size() == static_cast<size_t>(num_pages) *
+                                    static_cast<size_t>(num_levels));
+  const size_t ell = static_cast<size_t>(num_levels);
+  for (size_t row = 0; row < weights_.size(); row += ell) {
+    for (size_t i = 0; i < ell; ++i) {
+      WMLP_CHECK_MSG(weights_[row + i] >= 1.0, "weights must be >= 1");
       if (i > 0) {
-        WMLP_CHECK_MSG(row[i] <= row[i - 1],
+        WMLP_CHECK_MSG(weights_[row + i] <= weights_[row + i - 1],
                        "weights must be non-increasing in level");
       }
-      weights_.push_back(row[i]);
     }
   }
   max_weight_ = *std::max_element(weights_.begin(), weights_.end());

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/request.h"
@@ -23,6 +24,17 @@ class Instance {
   // weights[p][i-1] = w(p, i). Validates monotonicity and w >= 1.
   Instance(int32_t num_pages, int32_t cache_size, int32_t num_levels,
            std::vector<std::vector<Cost>> weights);
+
+  // A copy with every weight w replaced by f(w), written in one pass into
+  // one flat array and validated like the constructor's input: f must keep
+  // weights >= 1 and non-increasing in the level.
+  template <typename F>
+  Instance MapWeights(F&& f) const {
+    std::vector<Cost> mapped(weights_.size());
+    for (size_t j = 0; j < mapped.size(); ++j) mapped[j] = f(weights_[j]);
+    return Instance(Flat{}, num_pages_, cache_size_, num_levels_,
+                    std::move(mapped));
+  }
 
   int32_t num_pages() const { return num_pages_; }
   int32_t cache_size() const { return cache_size_; }
@@ -56,6 +68,11 @@ class Instance {
   friend bool operator==(const Instance&, const Instance&) = default;
 
  private:
+  // Takes weights already flattened [p * ell + (i-1)] and validates them.
+  struct Flat {};
+  Instance(Flat, int32_t num_pages, int32_t cache_size, int32_t num_levels,
+           std::vector<Cost> weights);
+
   int32_t num_pages_;
   int32_t cache_size_;
   int32_t num_levels_;

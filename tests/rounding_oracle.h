@@ -10,13 +10,16 @@
 // class-suffix masses from a scan and the same victim rule as the library.
 // It reads only U(), so it needs nothing from the fractional layer beyond
 // the values themselves, and costs O(n * ell) per step — fine on the small
-// instances the distribution battery runs.
+// instances the distribution battery runs. Like the library it attaches
+// its stack through ClassCeilingInstance, and its fallback victim is the
+// cheapest copy by the stack's weights.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,7 +44,8 @@ class StepwiseRoundingOracle final : public Policy {
                 : 4.0 * std::log(static_cast<double>(instance.cache_size()) +
                                  1.0);
     beta_ = std::max(beta_, 1.0);
-    fractional_->Attach(instance);
+    stack_.emplace(instance);
+    fractional_->Attach(stack_->get());
     classes_ = std::make_unique<WeightClasses>(instance);
     u_prev_.assign(static_cast<size_t>(instance.num_pages()) *
                        static_cast<size_t>(instance.num_levels()),
@@ -90,7 +94,8 @@ class StepwiseRoundingOracle final : public Policy {
 
     // Reset pass over copy weight classes, heaviest first.
     ScanClassSuffixMass(
-        inst, [this](PageId p, Level i) { return fractional_->U(p, i); },
+        stack_->get(),
+        [this](PageId p, Level i) { return fractional_->U(p, i); },
         std::span<double>(mass_));
     const int32_t classes = classes_->num_classes();
     std::vector<int64_t> cached_per_class(static_cast<size_t>(classes), 0);
@@ -111,8 +116,8 @@ class StepwiseRoundingOracle final : public Policy {
         if (victim < 0) {
           Cost best = std::numeric_limits<Cost>::infinity();
           for (PageId q : ops.cache().pages()) {
-            if (q == r.page) continue;
-            const Cost w = inst.weight(q, ops.cache().level_of(q));
+            if (q == r.page || ClassOfCached(ops, q) < c) continue;
+            const Cost w = stack_->get().weight(q, ops.cache().level_of(q));
             if (w < best) {
               best = w;
               victim = q;
@@ -152,6 +157,7 @@ class StepwiseRoundingOracle final : public Policy {
   double beta_opt_;
   double beta_ = 0.0;
   const Instance* instance_ = nullptr;
+  std::optional<ClassCeilingInstance> stack_;  // what fractional_ runs on
   std::unique_ptr<WeightClasses> classes_;
   std::vector<double> u_prev_;  // flattened [p * ell + (i-1)]
   std::vector<double> mass_;

@@ -322,6 +322,31 @@ TEST(RoundedMultiLevel, StraddlingBandsFallBackToTheExactScan) {
   EXPECT_GT(resets, 0);
 }
 
+TEST(RoundedMultiLevel, FallbackVictimComesFromTheViolatedSuffix) {
+  // At a low beta the reset pass can find class c violated with p_t as its
+  // only cached member while the globally cheapest other copy sits in a
+  // lighter class. Evicting that copy would leave the suffix violated, so
+  // the fallback takes the cheapest copy of a class >= c instead; the
+  // paranoid audit checks the reset postcondition after every request.
+  // Per-page weights.
+  int64_t resets = 0;
+  for (const int32_t ell : {2, 3}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      Instance inst(12, 3, ell,
+                    MakeWeights(12, ell, WeightModel::kZipfPages, 40.0, seed));
+      const Trace t =
+          GenZipf(inst, 400, 0.6, LevelMix::UniformMix(ell), seed + 10);
+      MultiLevelRoundingOptions opts;
+      opts.beta = 1.2;
+      opts.paranoid = true;
+      RoundedMultiLevel p(MakeFractionalStack(), seed, opts);
+      Simulate(t, p);
+      resets += p.reset_evictions();
+    }
+  }
+  EXPECT_GT(resets, 0);
+}
+
 TEST(RoundedMultiLevel, DemotionsHappenOnReadHeavyTail) {
   // Write-then-read-heavy workload: fractional mass shifts toward cheap
   // copies, so the rounding must issue replace-with-lower-level actions.
