@@ -14,7 +14,8 @@
 //      with different client counts and batch sizes (the determinism
 //      contract in server.h).
 //   3. Accepted single-shard configs reproduce the plain Engine run
-//      exactly.
+//      exactly, and every accepted config's flat shard instances equal
+//      the ones built from nested weight rows (Instance::operator==).
 //   4. The telemetry run-option surface (--telemetry-out / --trace-out /
 //      --stats-interval) validates without crashing on arbitrary paths and
 //      bit-pattern intervals, rejecting the documented invalid shapes; and
@@ -118,6 +119,28 @@ bool FuzzTelemetryOptions(ByteReader& in) {
   return err.empty();
 }
 
+// Each nonempty shard's instance must equal its reference: one nested
+// weight row per owned page, through the nested-row constructor.
+void CheckShardInstances(const Instance& inst, int32_t shards) {
+  const ShardMap map(inst, shards);
+  for (int32_t s = 0; s < shards; ++s) {
+    if (map.shard_empty(s)) continue;
+    std::vector<std::vector<Cost>> rows;
+    for (const PageId p : map.shard_pages(s)) {
+      std::vector<Cost> row;
+      for (Level i = 1; i <= inst.num_levels(); ++i) {
+        row.push_back(inst.weight(p, i));
+      }
+      rows.push_back(std::move(row));
+    }
+    const auto pages = static_cast<int32_t>(rows.size());
+    const Instance nested(pages, map.shard_capacity(s), inst.num_levels(),
+                          std::move(rows));
+    WMLP_CHECK_MSG(map.shard_instance(s) == nested,
+                   "flat shard instance differs from the nested-row one");
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -160,6 +183,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     return 0;
   }
   if (!error.empty()) return 0;  // e.g. k < #nonempty shards: valid reject
+  CheckShardInstances(inst, options.shards);
 
   Trace trace{std::move(inst), {}};
   while (!in.done() && trace.length() < kMaxRequests) {

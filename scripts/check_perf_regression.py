@@ -12,11 +12,12 @@ Compares a current BENCH_perf.json against a checked-in baseline:
     heap allocations (allocs_per_request * requests, measured by the perf
     driver's operator-new hook) must fit
     an affine budget --alloc-setup-budget + --max-allocs-per-request *
-    requests. The constant term absorbs policy construction and Attach;
-    serve-* cells get 2*n extra constant budget for their O(n) per-rep
-    setup (ShardMap, per-shard engines, thread spawns); the linear term
-    (default 0.01/request) catches any per-request
-    allocation long before it reaches 1 per request. Baseline-independent:
+    requests. The constant term absorbs policy construction and Attach,
+    and for serve-* cells the whole per-rep ServeTrace setup (shard map,
+    per-shard engines, inboxes, thread spawns), which allocates per shard
+    and per client, never per page; the linear term (default
+    0.01/request) catches any per-request allocation long before it
+    reaches 1 per request. Baseline-independent:
     the budget is absolute, not relative to the recorded baseline.
     Only cells from debug builds (allocs_per_request < 0) are exempt.
 
@@ -192,15 +193,10 @@ def main():
             continue
         alloc_checked += 1
         total = apr * c["requests"]
+        # One budget for every cell, serve-* included: a serve rep's setup
+        # allocates per shard and per client, so it fits the constant term.
         budget = (args.alloc_setup_budget +
                   args.max_allocs_per_request * c["requests"])
-        # Serve cells pay an O(n) one-time setup on every measured rep:
-        # ShardMap page lists and remap tables, per-shard engines and
-        # policies, thread spawns, inbox staging. Give them 2 allocations
-        # per page of extra constant budget; the linear term is unchanged,
-        # so a true per-request allocation still fails immediately.
-        if key[0].startswith("serve-"):
-            budget += 2.0 * c["n"]
         status = "ok"
         if total > budget:
             status = "ALLOC REGRESSION"

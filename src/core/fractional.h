@@ -231,10 +231,12 @@ class FractionalMlp final : public FractionalPolicy {
   // Hot per-page solver state packed into one cache line (64 bytes). The
   // serve path touches u0/s0/cursor/state/gen for every page it visits;
   // keeping them in parallel arrays cost ~10 scattered cache misses per
-  // page, one per array. No default member initializers: the backing array
-  // is allocated uninitialized (make_unique_for_overwrite) and records are
-  // materialized lazily by Rec() on first touch per Attach epoch.
-  struct PageRec {
+  // page, one per array. Aligned to the line, so the array's placement in
+  // the heap cannot split a record across two. No default member
+  // initializers: the backing array is allocated uninitialized
+  // (make_unique_for_overwrite) and records are materialized lazily by
+  // Rec() on first touch per Attach epoch.
+  struct alignas(64) PageRec {
     double u0;       // value at cursor at materialization
     double s0;       // materialization clock
     double csum;     // sum_{j >= cursor} w(p, j)
@@ -250,7 +252,7 @@ class FractionalMlp final : public FractionalPolicy {
     WatchState watch;
     bool untimed;  // listed in untimed_
   };
-  static_assert(sizeof(PageRec) <= 64, "PageRec must fit one cache line");
+  static_assert(sizeof(PageRec) == 64, "PageRec must fill one cache line");
 
   // A page's threshold watch, read only once PageRec::watch left kNever —
   // so a run without watches never touches this array, which is allocated

@@ -91,10 +91,9 @@ void RunClient(const Trace& trace, const ShardMap& map, int32_t client,
   }
 }
 
-}  // namespace
-
-std::string ValidateServeConfig(const Instance& instance,
-                                const ServeOptions& options) {
+// Everything ValidateServeConfig checks except shardability, which needs
+// a hash of every page; ServeTrace leaves that to the ShardMap's one pass.
+std::string OptionsError(const ServeOptions& options) {
   if (options.clients < 1) return "clients must be >= 1";
   if (options.clients > kMaxClients) {
     return "clients must be <= " + std::to_string(kMaxClients);
@@ -117,14 +116,24 @@ std::string ValidateServeConfig(const Instance& instance,
   if (options.watchdog_threshold > 0.0 && !options.watchdog) {
     return "watchdog threshold requires the watchdog";
   }
+  return "";
+}
+
+}  // namespace
+
+std::string ValidateServeConfig(const Instance& instance,
+                                const ServeOptions& options) {
+  const std::string error = OptionsError(options);
+  if (!error.empty()) return error;
   return ShardabilityError(instance, options.shards);
 }
 
 ServeReport ServeTrace(const Trace& trace, const ServeOptions& options) {
   WMLP_TELEMETRY_SPAN(serve_span, "server.serve_trace", "server");
-  const std::string error = ValidateServeConfig(trace.instance, options);
+  const std::string error = OptionsError(options);
   WMLP_CHECK_MSG(error.empty(), "bad serve config: " << error);
 
+  // Checks shardability from its own hash pass.
   const ShardMap map(trace.instance, options.shards);
   const int32_t shards = options.shards;
   const int32_t clients = options.clients;

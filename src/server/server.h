@@ -95,7 +95,8 @@ std::string ValidateServeConfig(const Instance& instance,
 // Serves `trace` through the sharded pipeline and blocks until every
 // client and shard worker has joined. Aborts if ValidateServeConfig
 // rejects (callers own argument validation; the tool and fuzz harness
-// both go through ValidateServeConfig first).
+// both go through ValidateServeConfig first). Each call hashes every page
+// once, in its ShardMap, which also checks shardability.
 ServeReport ServeTrace(const Trace& trace, const ServeOptions& options);
 
 }  // namespace wmlp

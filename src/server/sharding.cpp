@@ -10,15 +10,29 @@ namespace wmlp {
 
 namespace {
 
-// Page counts per shard for (instance, shards); shared by ShardMap and the
-// validation path so they can never disagree.
-std::vector<int64_t> CountShardPages(const Instance& instance,
-                                     int32_t shards) {
-  std::vector<int64_t> counts(static_cast<size_t>(shards), 0);
-  for (PageId p = 0; p < instance.num_pages(); ++p) {
-    ++counts[static_cast<size_t>(ShardOfPage(p, shards))];
+// Why `shards` is no shard count at all; empty when it is in range.
+std::string ShardCountError(int32_t shards) {
+  if (shards < 1) return "shards must be >= 1";
+  if (shards > kMaxShards) {
+    return "shards must be <= " + std::to_string(kMaxShards);
   }
-  return counts;
+  return "";
+}
+
+// Why pages split `counts` ways cannot share `cache_size` slots; empty
+// when every nonempty shard can get one. The one count -> error rule,
+// shared by ShardabilityError and ShardMap so they can never disagree.
+std::string CapacityError(int32_t cache_size,
+                          const std::vector<int64_t>& counts) {
+  const auto nonempty = static_cast<int64_t>(
+      std::count_if(counts.begin(), counts.end(),
+                    [](int64_t c) { return c > 0; }));
+  if (static_cast<int64_t>(cache_size) < nonempty) {
+    return "cache size " + std::to_string(cache_size) +
+           " cannot give each of " + std::to_string(nonempty) +
+           " nonempty shards a slot";
+  }
+  return "";
 }
 
 // Splits cache capacity k across shards proportionally to their page
@@ -57,7 +71,7 @@ std::vector<int32_t> SplitCapacity(int64_t k,
 
   // Min-one fix-up: a tiny nonempty shard can round to zero; it still
   // needs one slot to serve its pages at all. Feasible whenever
-  // k >= #nonempty shards (validated by ShardabilityError).
+  // k >= #nonempty shards (checked by CapacityError).
   for (size_t s = 0; s < shards; ++s) {
     while (counts[s] > 0 && capacity[s] == 0) {
       const auto donor = static_cast<size_t>(std::distance(
@@ -82,60 +96,49 @@ int32_t ShardOfPage(PageId p, int32_t shards) {
 }
 
 std::string ShardabilityError(const Instance& instance, int32_t shards) {
-  if (shards < 1) return "shards must be >= 1";
-  if (shards > kMaxShards) {
-    return "shards must be <= " + std::to_string(kMaxShards);
+  std::string error = ShardCountError(shards);
+  if (!error.empty()) return error;
+  std::vector<int64_t> counts(static_cast<size_t>(shards), 0);
+  for (PageId p = 0; p < instance.num_pages(); ++p) {
+    ++counts[static_cast<size_t>(ShardOfPage(p, shards))];
   }
-  const auto counts = CountShardPages(instance, shards);
-  const auto nonempty = static_cast<int64_t>(
-      std::count_if(counts.begin(), counts.end(),
-                    [](int64_t c) { return c > 0; }));
-  if (static_cast<int64_t>(instance.cache_size()) < nonempty) {
-    return "cache size " + std::to_string(instance.cache_size()) +
-           " cannot give each of " + std::to_string(nonempty) +
-           " nonempty shards a slot";
-  }
-  return "";
+  return CapacityError(instance.cache_size(), counts);
 }
 
 ShardMap::ShardMap(const Instance& instance, int32_t shards)
-    : shards_(shards),
-      shard_of_(static_cast<size_t>(instance.num_pages())),
-      local_id_(static_cast<size_t>(instance.num_pages())),
-      pages_(static_cast<size_t>(shards)),
-      instances_(static_cast<size_t>(shards)) {
-  const std::string error = ShardabilityError(instance, shards);
+    : shards_(shards) {
+  const std::string range = ShardCountError(shards);
+  WMLP_CHECK_MSG(range.empty(), "unshardable: " << range);
+
+  // One hash pass: each page's shard, its dense local id (the running
+  // count of its shard) and the per-shard page counts.
+  const auto n = static_cast<size_t>(instance.num_pages());
+  const auto num_shards = static_cast<size_t>(shards);
+  shard_of_.resize(n);
+  local_id_.resize(n);
+  std::vector<int64_t> counts(num_shards, 0);
+  for (size_t p = 0; p < n; ++p) {
+    const int32_t s = ShardOfPage(static_cast<PageId>(p), shards);
+    shard_of_[p] = s;
+    local_id_[p] = static_cast<PageId>(counts[static_cast<size_t>(s)]++);
+  }
+  const std::string error = CapacityError(instance.cache_size(), counts);
   WMLP_CHECK_MSG(error.empty(), "unshardable: " << error);
 
-  for (PageId p = 0; p < instance.num_pages(); ++p) {
-    const int32_t s = ShardOfPage(p, shards);
-    shard_of_[static_cast<size_t>(p)] = s;
-    local_id_[static_cast<size_t>(p)] =
-        static_cast<PageId>(pages_[static_cast<size_t>(s)].size());
-    pages_[static_cast<size_t>(s)].push_back(p);
+  pages_.resize(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    pages_[s].resize(static_cast<size_t>(counts[s]));
   }
-
-  std::vector<int64_t> counts(static_cast<size_t>(shards));
-  for (size_t s = 0; s < counts.size(); ++s) {
-    counts[s] = static_cast<int64_t>(pages_[s].size());
+  for (size_t p = 0; p < n; ++p) {
+    pages_[static_cast<size_t>(shard_of_[p])]
+          [static_cast<size_t>(local_id_[p])] = static_cast<PageId>(p);
   }
   capacity_ = SplitCapacity(instance.cache_size(), counts);
 
-  for (size_t s = 0; s < pages_.size(); ++s) {
+  instances_.resize(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
     if (pages_[s].empty()) continue;
-    std::vector<std::vector<Cost>> weights;
-    weights.reserve(pages_[s].size());
-    for (const PageId p : pages_[s]) {
-      std::vector<Cost> row(
-          static_cast<size_t>(instance.num_levels()));
-      for (Level i = 1; i <= instance.num_levels(); ++i) {
-        row[static_cast<size_t>(i - 1)] = instance.weight(p, i);
-      }
-      weights.push_back(std::move(row));
-    }
-    instances_[s].emplace(static_cast<int32_t>(pages_[s].size()),
-                          capacity_[s], instance.num_levels(),
-                          std::move(weights));
+    instances_[s].emplace(instance.Select(pages_[s], capacity_[s]));
   }
 }
 

@@ -31,11 +31,12 @@ int32_t ShardOfPage(PageId p, int32_t shards);
 
 class ShardMap {
  public:
-  // Partitions `instance` across `shards` shards. Precondition:
-  // ShardabilityError(instance, shards) is empty (checked).
-  // `instance` must outlive the map (weight rows are copied, but the map
-  // keeps no reference; the lifetime note covers only callers that keep
-  // using the global instance for routing).
+  // Partitions `instance` across `shards` shards in one hash pass and
+  // builds each nonempty shard's sub-instance as one flat copy of its
+  // pages' weight rows (Instance::Select). Precondition:
+  // ShardabilityError(instance, shards) is empty (checked, from the same
+  // pass's counts). The map copies everything it keeps, so `instance`
+  // may go away once the constructor returns.
   ShardMap(const Instance& instance, int32_t shards);
 
   int32_t num_shards() const { return shards_; }

@@ -64,6 +64,20 @@ Instance::Instance(Flat, int32_t num_pages, int32_t cache_size,
   min_weight_ = *std::min_element(weights_.begin(), weights_.end());
 }
 
+Instance Instance::Select(std::span<const PageId> pages,
+                          int32_t cache_size) const {
+  const size_t ell = static_cast<size_t>(num_levels_);
+  std::vector<Cost> rows(pages.size() * ell);
+  Cost* out = rows.data();
+  for (const PageId p : pages) {
+    WMLP_CHECK_MSG(valid_page(p), "selected page " << p << " out of range");
+    out = std::copy_n(weights_.data() + static_cast<size_t>(p) * ell, ell,
+                      out);
+  }
+  return Instance(Flat{}, static_cast<int32_t>(pages.size()), cache_size,
+                  num_levels_, std::move(rows));
+}
+
 bool Instance::levels_two_separated() const {
   for (PageId p = 0; p < num_pages_; ++p) {
     for (Level i = 1; i < num_levels_; ++i) {

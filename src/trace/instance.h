@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,12 @@ class Instance {
     return Instance(Flat{}, num_pages_, cache_size_, num_levels_,
                     std::move(mapped));
   }
+
+  // The sub-instance of `pages` with `cache_size` slots: page j of the
+  // result carries pages[j]'s weight row, copied in order into one flat
+  // array and validated like the constructor's input. Every id must be a
+  // valid page, the list nonempty and cache_size >= 1 (checked).
+  Instance Select(std::span<const PageId> pages, int32_t cache_size) const;
 
   int32_t num_pages() const { return num_pages_; }
   int32_t cache_size() const { return cache_size_; }

@@ -8,6 +8,7 @@
 //   * Config validation rejects out-of-range values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,6 +105,56 @@ TEST(ShardMapTest, SingleShardIsTheIdentity) {
   }
   EXPECT_EQ(map.shard_capacity(0), 8);
   EXPECT_EQ(map.shard_instance(0), trace.instance);
+}
+
+// Reference for a shard's instance: one nested weight row per owned page,
+// through the nested-row constructor rather than Instance::Select.
+Instance NestedShardInstance(const Instance& global, const ShardMap& map,
+                             int32_t shard) {
+  std::vector<std::vector<Cost>> rows;
+  for (const PageId p : map.shard_pages(shard)) {
+    std::vector<Cost> row;
+    for (Level i = 1; i <= global.num_levels(); ++i) {
+      row.push_back(global.weight(p, i));
+    }
+    rows.push_back(std::move(row));
+  }
+  const auto pages = static_cast<int32_t>(rows.size());
+  return Instance(pages, map.shard_capacity(shard), global.num_levels(),
+                  std::move(rows));
+}
+
+TEST(ShardMapTest, FlatShardInstancesEqualNestedRowInstances) {
+  constexpr int32_t kPages = 500;
+  for (const WeightModel model :
+       {WeightModel::kGeometricLevels, WeightModel::kLogUniform}) {
+    for (const int32_t ell : {1, 3}) {
+      const Instance inst(kPages, 128, ell,
+                          MakeWeights(kPages, ell, model, 8.0, 17));
+      for (const int32_t shards : {1, 2, 3, 8, 64}) {
+        const ShardMap map(inst, shards);
+        for (int32_t s = 0; s < shards; ++s) {
+          const auto& pages = map.shard_pages(s);
+          EXPECT_TRUE(std::is_sorted(pages.begin(), pages.end()));
+          for (const PageId p : pages) {
+            EXPECT_EQ(map.shard_of(p), ShardOfPage(p, shards));
+          }
+          if (map.shard_empty(s)) continue;
+          EXPECT_EQ(map.shard_instance(s), NestedShardInstance(inst, map, s))
+              << "ell=" << ell << " shards=" << shards << " shard " << s;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardMapDeathTest, DiesWithTheShardabilityMessage) {
+  const Instance inst = Instance::Uniform(64, 2);
+  for (const int32_t shards : {0, 8, kMaxShards + 1}) {
+    const std::string error = ShardabilityError(inst, shards);
+    ASSERT_FALSE(error.empty()) << "shards=" << shards;
+    EXPECT_DEATH(ShardMap(inst, shards), "unshardable: " + error);
+  }
 }
 
 TEST(ServeConfigTest, RejectsOutOfRangeValues) {

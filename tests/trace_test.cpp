@@ -79,6 +79,43 @@ TEST(Instance, MergeLevelsIdentityWhenSeparated) {
   EXPECT_EQ(merged.level_map[0][1], 2);
 }
 
+TEST(Instance, SelectCopiesRowsInListOrder) {
+  const Instance inst(4, 2, 2,
+                      {{8.0, 2.0}, {4.0, 1.0}, {16.0, 4.0}, {2.0, 2.0}});
+  const std::vector<PageId> pages = {2, 0, 3};
+  const Instance sub = inst.Select(pages, 3);
+  EXPECT_EQ(sub.num_pages(), 3);
+  EXPECT_EQ(sub.cache_size(), 3);
+  EXPECT_EQ(sub.num_levels(), 2);
+  for (size_t j = 0; j < pages.size(); ++j) {
+    for (Level i = 1; i <= 2; ++i) {
+      EXPECT_EQ(sub.weight(static_cast<PageId>(j), i),
+                inst.weight(pages[j], i));
+    }
+  }
+  // Extremes are the selected rows', not the source's (page 1 owns 1.0).
+  EXPECT_EQ(sub.max_weight(), 16.0);
+  EXPECT_EQ(sub.min_weight(), 2.0);
+  EXPECT_EQ(sub, Instance(3, 3, 2, {{16.0, 4.0}, {8.0, 2.0}, {2.0, 2.0}}));
+}
+
+TEST(Instance, SelectOfEveryPageIsTheInstance) {
+  const Instance inst = SmallMlInstance(5, 2);
+  const std::vector<PageId> all = {0, 1, 2, 3, 4};
+  EXPECT_EQ(inst.Select(all, inst.cache_size()), inst);
+}
+
+TEST(InstanceDeathTest, SelectRejectsBadArguments) {
+  const Instance inst = SmallMlInstance();
+  const std::vector<PageId> out_of_range = {0, 6};
+  EXPECT_DEATH(inst.Select(out_of_range, 1), "selected page 6 out of range");
+  const std::vector<PageId> negative = {-1};
+  EXPECT_DEATH(inst.Select(negative, 1), "selected page -1 out of range");
+  EXPECT_DEATH(inst.Select(std::vector<PageId>{}, 1), "num_pages >= 1");
+  const std::vector<PageId> one = {3};
+  EXPECT_DEATH(inst.Select(one, 0), "cache_size >= 1");
+}
+
 TEST(Trace, ValidateCatchesBadRequests) {
   Trace t{SmallMlInstance(), {{0, 1}, {5, 2}}};
   std::string err;
