@@ -4,9 +4,9 @@
 // operator new/delete family with malloc-backed versions that bump one
 // relaxed atomic per allocation. The benches read the counter around
 // their timed regions to report an allocs/request column, which
-// scripts/check_perf_regression.py gates: the serve loops claim to be
-// allocation-free in steady state (docs/ARCHITECTURE.md §11), and that
-// claim is only worth anything if a counter enforces it.
+// scripts/perf.py gates: the serve loops claim to be allocation-free in
+// steady state (docs/ARCHITECTURE.md §11), and that claim is only worth
+// anything if a counter enforces it.
 //
 // Counting is compiled in only for optimized builds (NDEBUG): that is the
 // only configuration whose numbers are comparable, and debug allocators

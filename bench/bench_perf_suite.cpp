@@ -1,7 +1,8 @@
 // Perf driver: every wall-clock cell of the repo's perf artifact
 // (BENCH_perf.json), measured in one process and written by one writer for
-// the CI regression gate (scripts/check_perf_regression.py). Sections, in
-// run order:
+// the paired regression gate (scripts/perf.py), which runs this driver
+// built from the parent revision and from the change, alternating, and
+// gates every cell on the ratio of their minima. Sections, in run order:
 //
 //   solver   ns/request across n in {1e3, 1e4, 1e5, 1e6} (quick: {1e3,
 //            1e4}) and ell in {1, 2, 4} for
@@ -13,7 +14,7 @@
 //              - rounded              (registry "randomized" through the
 //                                      engine)                        (E15)
 //   serve    the sharded server (src/server/) over a shards x clients grid,
-//            "serve-s<S>-c<C>"; informational in the gate          (E16)
+//            "serve-s<S>-c<C>"                                      (E16)
 //   batch    push-mode StepBatch over batch sizes per policy,
 //            "batch<b>-<policy>"                                    (E17)
 //   kernels  every src/kernels entry point and its scalar twin,
@@ -43,7 +44,7 @@
 // Flags (anything else exits 2):
 //   --quick            small grids for CI smoke
 //   --json <path>      write BENCH_perf.json-style output
-//   --git-sha <sha>    stamp the JSON (run_benchmarks.sh passes rev-parse)
+//   --git-sha <sha>    stamp the JSON (scripts/perf.py passes rev-parse)
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -165,17 +166,11 @@ double RunEngine(const Trace& trace, const char* policy_name) {
   return engine.Run().eviction_cost;
 }
 
-double RunFractionalFast(const Trace& trace) {
-  // The batched front (core/fractional.h ServeBatch): identical trajectory
-  // to per-request Serve, plus the footprint-gated prefetch pipeline.
-  FractionalMlp frac;
-  frac.Attach(trace.instance);
-  frac.ServeBatch(0, std::span<const Request>(trace.requests));
-  return frac.lp_cost();
-}
-
-double RunFractionalReference(const Trace& trace) {
-  FractionalMlpReference frac;
+// Both solvers are timed through the per-request Serve loop, the call the
+// randomized policy's stack makes.
+template <typename Solver>
+double RunFractional(const Trace& trace) {
+  Solver frac;
   frac.Attach(trace.instance);
   for (Time t = 0; t < trace.length(); ++t) {
     frac.Serve(t, trace.requests[static_cast<size_t>(t)]);
@@ -246,11 +241,12 @@ void SolverSection(bool quick, std::vector<Cell>& cells) {
     cells.push_back(TraceCell("waterfill", trace, [&] {
       return RunEngine(trace, "waterfill");
     }));
-    cells.push_back(TraceCell("fractional-fast", trace,
-                              [&] { return RunFractionalFast(trace); }));
+    cells.push_back(TraceCell("fractional-fast", trace, [&] {
+      return RunFractional<FractionalMlp>(trace);
+    }));
     if (n <= 100000) {
       cells.push_back(TraceCell("fractional-reference", trace, [&] {
-        return RunFractionalReference(trace);
+        return RunFractional<FractionalMlpReference>(trace);
       }));
     } else {
       std::cout << "note: skipping fractional-reference at n=" << n
@@ -645,10 +641,9 @@ std::string FmtG(double v) {
   return os.str();
 }
 
-// The `metadata` object lets the gate warn when the current run and the
-// checked-in baseline came from different machines or toolchains:
-// ns/request envelopes are machine-specific, and a cross-machine
-// comparison is the leading source of phantom "regressions".
+// The `metadata` object records the machine and toolchain a run came
+// from: ns/request figures are machine-specific, so a recorded artifact is
+// only comparable with runs that match it there.
 void WriteJson(const SuiteArgs& args, const std::vector<Cell>& cells,
                double stream_gbps, const std::string& path) {
   std::ofstream os(path);
@@ -695,7 +690,7 @@ int Main(int argc, char** argv) {
   const SuiteArgs args = ParseArgs(argc, argv);
 #ifndef NDEBUG
   std::cerr << "warning: bench_perf_suite built without optimization; "
-               "numbers are not comparable to the checked-in baseline\n";
+               "the perf gate refuses its numbers\n";
 #endif
   std::vector<Cell> cells;
   SolverSection(args.quick, cells);

@@ -15,24 +15,26 @@ for arg in "$@"; do
 done
 
 # Benchmarks must run optimized; a Debug build here once produced a
-# full_run.txt with ~10x-off throughput numbers.
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build >/dev/null
+# full_run.txt with ~10x-off throughput numbers. The Release tree lives
+# under .bench_build so it never reconfigures the tier-1 build/ tree.
+BUILD=.bench_build/experiments
+cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$BUILD" >/dev/null
 mkdir -p "$OUT"
 
 {
-  for b in build/bench/bench_e*; do
+  for b in "$BUILD"/bench/bench_e*; do
     echo "===== $(basename "$b") ====="
     "$b" $QUICK --csv "$OUT"
     echo
   done
 
   # Machine-readable perf trajectory alongside the CSVs (E15-E17 and the
-  # kernel rows): the same full artifact scripts/run_benchmarks.sh writes.
-  # No gate here — run_benchmarks.sh owns the regression check.
+  # kernel rows), one run of the driver. No gate here: scripts/perf.py run
+  # gates against the parent built on the same host.
   echo "===== bench_perf_suite ====="
   SHA=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
-  build/bench/bench_perf_suite $QUICK --json "$OUT/BENCH_perf.json" \
+  "$BUILD"/bench/bench_perf_suite $QUICK --json "$OUT/BENCH_perf.json" \
     --git-sha "$SHA"
 } | tee "$OUT/full_run.txt"
 

@@ -122,27 +122,6 @@ void FractionalMlp::Attach(const Instance& instance) {
   bisection_fallbacks_ = 0;
   schedule_.u.clear();
   if (options_.record_schedule) schedule_.u.emplace_back(un, 1.0);
-
-  // ServeBatch prefetch front: worth issuing only once the per-page rows
-  // (PageRec line, epoch stamp, u_ row) stop fitting the LLC (§13
-  // footprint gate) — below that bound every hint is a wasted slot.
-  const int64_t page_bytes = static_cast<int64_t>(
-      sizeof(PageRec) + sizeof(uint32_t) +
-      sizeof(double) * static_cast<size_t>(ell_));
-  batch_prefetch_dist_ =
-      static_cast<int64_t>(n) * page_bytes > kernels::kPrefetchMinFootprintBytes
-          ? kernels::kBatchPrefetchDistance
-          : 0;
-}
-
-void FractionalMlp::ServeBatch(Time t0, std::span<const Request> reqs) {
-  const size_t pf = static_cast<size_t>(batch_prefetch_dist_);
-  const size_t warm = pf < reqs.size() ? pf : reqs.size();
-  for (size_t i = 0; i < warm; ++i) PrefetchPage(reqs[i].page);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (pf > 0 && i + pf < reqs.size()) PrefetchPage(reqs[i + pf].page);
-    Serve(t0 + static_cast<Time>(i), reqs[i]);
-  }
 }
 
 double FractionalMlp::DynamicU(PageId p) const {

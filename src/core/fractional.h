@@ -138,15 +138,6 @@ class FractionalMlp final : public FractionalPolicy {
 
   void Attach(const Instance& instance) override;
   void Serve(Time t, const Request& r) override;
-  // Batched serve front: the trajectory is bit-for-bit identical to
-  // calling Serve(t0 + i, reqs[i]) in order — the front only adds
-  // PrefetchPage hints, issued kernels::kBatchPrefetchDistance requests
-  // ahead, and only when the per-page state exceeds the §13 footprint
-  // gate (below it every row is LLC-resident and the hints are pure
-  // overhead). Only the perf driver's fractional-fast cells and
-  // tests/fractional_fast_test.cpp call it; the engine and the server
-  // drain serve through the policy stack's per-request Serve.
-  void ServeBatch(Time t0, std::span<const Request> reqs);
   double U(PageId p, Level i) const override;
   void PrefetchPage(PageId p) const override;
   Cost lp_cost() const override { return lp_cost_; }
@@ -385,10 +376,6 @@ class FractionalMlp final : public FractionalPolicy {
   size_t u_cap_ = 0;     // allocated extent of u_
   std::vector<uint32_t> epoch_of_;
   uint32_t epoch_ = 0;
-
-  // ServeBatch's prefetch distance, fixed at Attach: 0 when the per-page
-  // state (PageRec + epoch stamp + u_ row) fits the footprint gate.
-  int32_t batch_prefetch_dist_ = 0;
 
   std::vector<Group> groups_;
   std::vector<int32_t> active_groups_;  // indices of non-empty groups

@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -214,40 +212,6 @@ TEST(FractionalFast, WatchesSurviveClockRenormalization) {
     fired_total += ExpectWatchesFireInLockstep(trace, seed);
   }
   EXPECT_GT(fired_total, 1000);
-}
-
-TEST(FractionalFast, ServeBatchMatchesServeBitwise) {
-  // The batched front adds only prefetch hints: the trajectory — every
-  // u(p, i) and both cost meters — must be bit-for-bit the per-request
-  // loop's.
-  constexpr int32_t n = 64;
-  constexpr int32_t k = 16;
-  constexpr int32_t ell = 3;
-  Instance inst(n, k, ell,
-                MakeWeights(n, ell, WeightModel::kGeometricLevels, 4.0, 11));
-  const Trace trace = GenZipf(inst, 400, 0.8, LevelMix::UniformMix(ell), 12);
-
-  FractionalMlp loop;
-  loop.Attach(trace.instance);
-  for (Time t = 0; t < trace.length(); ++t) {
-    loop.Serve(t, trace.requests[static_cast<size_t>(t)]);
-  }
-
-  FractionalMlp batch;
-  batch.Attach(trace.instance);
-  batch.ServeBatch(0, std::span<const Request>(trace.requests));
-
-  EXPECT_EQ(std::bit_cast<uint64_t>(loop.lp_cost()),
-            std::bit_cast<uint64_t>(batch.lp_cost()));
-  EXPECT_EQ(std::bit_cast<uint64_t>(loop.movement_cost()),
-            std::bit_cast<uint64_t>(batch.movement_cost()));
-  for (PageId p = 0; p < n; ++p) {
-    for (Level i = 1; i <= ell; ++i) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(loop.U(p, i)),
-                std::bit_cast<uint64_t>(batch.U(p, i)))
-          << "u(" << p << ", " << i << ")";
-    }
-  }
 }
 
 TEST(FractionalFast, OutputSensitiveCountersAdvance) {
