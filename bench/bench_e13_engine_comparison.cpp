@@ -43,8 +43,8 @@ EngineRun RunEngine(const Trace& trace, FractionalEngine engine,
   RandomizedOptions opts;
   opts.engine = engine;
   const std::string name = engine == FractionalEngine::kLinear
-                               ? "fractional-rounded-linear"
-                               : "fractional-rounded";
+                               ? "randomized:engine=linear"
+                               : "randomized";
   EngineRun out;
   RunningStat rounded;
   const auto start = std::chrono::steady_clock::now();

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       {"landlord", "landlord", false},
       {"waterfill", "waterfill", false},
       {"randomized", "randomized", false},
-      {"randomized (linear engine)", "fractional-rounded-linear", false},
+      {"randomized (linear engine)", "randomized:engine=linear", false},
       {"fractional-only", "", false},
   };
 

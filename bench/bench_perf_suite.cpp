@@ -85,21 +85,10 @@ struct SuiteArgs {
 };
 
 SuiteArgs ParseArgs(int argc, char** argv) {
-  SuiteArgs args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      args.quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--git-sha") == 0 && i + 1 < argc) {
-      args.git_sha = argv[++i];
-    } else {
-      std::cerr << "usage: bench_perf_suite [--quick] [--json PATH] "
-                   "[--git-sha SHA]\n";
-      std::exit(2);
-    }
-  }
-  return args;
+  const cli::Flags flags(
+      argc, argv, {.values = {"json", "git-sha"}, .switches = {"quick"}});
+  return {flags.Has("quick"), flags.GetString("json"),
+          flags.GetString("git-sha", "unknown")};
 }
 
 struct Cell {

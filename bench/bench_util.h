@@ -2,20 +2,20 @@
 // emitter of the experiment binaries (bench_e*), and the one timing core
 // every bench number goes through (BestOf).
 //
-// Experiment flags (anything else, or --csv without a value, exits 2):
+// Experiment flags (util/flags.h: anything else, a repeat, or --csv
+// without a value exits 2):
 //   --quick        shrink workloads (CI smoke)
 //   --csv <dir>    also write each table as <dir>/<experiment>_<name>.csv
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "alloc_hook.h"
 #include "harness/table.h"
+#include "util/flags.h"
 
 namespace wmlp::bench {
 
@@ -24,18 +24,9 @@ struct BenchArgs {
   std::string csv_dir;
 
   static BenchArgs Parse(int argc, char** argv) {
-    BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
-        args.quick = true;
-      } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-        args.csv_dir = argv[++i];
-      } else {
-        std::cerr << "usage: " << argv[0] << " [--quick] [--csv DIR]\n";
-        std::exit(2);
-      }
-    }
-    return args;
+    const cli::Flags flags(argc, argv,
+                           {.values = {"csv"}, .switches = {"quick"}});
+    return {flags.Has("quick"), flags.GetString("csv")};
   }
 
   // Scales a workload size down in quick mode.

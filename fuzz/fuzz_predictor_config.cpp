@@ -19,8 +19,8 @@
 //      [0, 1], alpha outside (0, 1], horizon negative, or the noise
 //      options are invalid — and the registry's strict "predictive:k=v"
 //      parser agrees with the structured API on every round-tripped
-//      config ("%.17g" preserves finite doubles exactly; "nan"/"inf"
-//      round-trip through strtod).
+//      config ("%.17g" preserves finite doubles exactly; the parser
+//      refuses "nan" and "inf", which the structured API rejects too).
 //   4. Accepted policies actually serve: two engine runs over the decoded
 //      trace are bitwise identical (the determinism contract).
 #include <bit>

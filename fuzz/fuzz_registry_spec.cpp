@@ -8,8 +8,9 @@
 //      items with engine in {multiplicative, reference, linear}, or beta
 //      (finite, >= 0), eta (in [0, 1]) or delta (<= 1; 0, negative, or at
 //      least 1e-9) given as a complete strtod number without leading
-//      whitespace. Anything else — unknown keys, empty items, typos — is
-//      rejected, never reinterpreted.
+//      whitespace, each key at most once. Anything else — unknown or
+//      repeated keys, empty items, typos — is rejected, never
+//      reinterpreted.
 //   3. An accepted spec builds a policy that serves a small multi-level
 //      trace, and two runs with the same seed are bitwise identical. The
 //      trace has per-page weights, which are not powers of two, so the
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -66,8 +68,10 @@ bool GrammarAccepts(const std::string& params) {
       items.back().push_back(c);
     }
   }
+  std::set<std::string> keys;
   for (const std::string& item : items) {
     if (!ValidItem(item)) return false;
+    if (!keys.insert(item.substr(0, item.find('='))).second) return false;
   }
   return true;
 }

@@ -189,7 +189,8 @@ printf ''                                  > "$pred_dir/empty.bin"
 # Each file is the text after "randomized:" (fuzz/fuzz_registry_spec.cpp).
 # Accepted specs cover every key and engine; the reject seeds pin each
 # strictness rule: unknown key, typo'd engine, malformed, non-finite and
-# out-of-range numbers, empty items, leading whitespace, embedded NUL.
+# out-of-range numbers, empty items, leading whitespace, embedded NUL,
+# repeated key.
 spec() { printf '%b' "$2" > "$spec_dir/$1.txt"; }
 spec accept_empty            ''
 spec accept_all_keys         'beta=3,eta=0.5,delta=-1,engine=reference'
@@ -210,6 +211,7 @@ spec reject_trailing_comma   'beta=2,'
 spec reject_leading_space    'beta= 2'
 spec reject_no_value         'beta'
 spec reject_embedded_nul     'beta=2\x00x'
+spec reject_repeated_key     'beta=1,beta=2'
 
 echo "corpus written:"
 find "$trace_dir" "$differ_dir" "$serve_dir" "$pred_dir" "$spec_dir" -type f | sort \

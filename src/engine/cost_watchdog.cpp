@@ -12,7 +12,7 @@ CostRatioWatchdog::CostRatioWatchdog(const Instance& instance,
       health_slot_(health::CostRatioHealth::Get().RegisterSource()),
       value_(static_cast<size_t>(instance.num_pages()), 0.0),
       max_level_(static_cast<size_t>(instance.num_pages()), 0),
-      next_publish_(options.publish_every) {
+      next_publish_(kPublishEvery) {
   if (options.threshold > 0.0) {
     health::CostRatioHealth::Get().SetThreshold(options.threshold);
   }
@@ -63,7 +63,7 @@ double CostRatioWatchdog::ratio_upper() const {
 }
 
 void CostRatioWatchdog::Publish() {
-  next_publish_ = requests_seen_ + options_.publish_every;
+  next_publish_ = requests_seen_ + kPublishEvery;
   health::CostRatioHealth::Get().Update(health_slot_, alg_cost_,
                                         lower_bound());
   if constexpr (telemetry::kEnabled) {

@@ -29,7 +29,7 @@
 // shard-local OPT — the right yardstick for the sharded server, where
 // pages never migrate between shards.
 //
-// Publishing: every `publish_every` requests (and on demand via Publish())
+// Publishing: every kPublishEvery requests (and on demand via Publish())
 // the watchdog pushes its totals into the process-wide health registry
 // (telemetry/health.h — feeds /healthz in every build) and, in
 // WMLP_TELEMETRY builds, into `wmlp_watchdog_*` gauges.
@@ -52,9 +52,6 @@ struct WatchdogOptions {
   // Ratio above which the health signal trips. 0 = monitor-only: the
   // gauges still export, /healthz always reports healthy.
   double threshold = 0.0;
-  // Requests between health/gauge publishes. Publishing takes a mutex, so
-  // keep this comfortably above the batch size.
-  int64_t publish_every = 1024;
   // Distinguishes gauge names when several watchdogs run (one per shard):
   // "" publishes wmlp_watchdog_cost_ratio_upper, "shard0" publishes
   // wmlp_watchdog_cost_ratio_upper{shard="shard0"}, etc.
@@ -72,8 +69,12 @@ class CostRatioWatchdog final : public StepObserver {
   void OnBatch(Time t0, std::span<const Request> reqs,
                std::span<const uint8_t> hits) override;
 
+  // Requests between health/gauge publishes. Publishing takes a mutex, so
+  // this stays comfortably above the batch size.
+  static constexpr int64_t kPublishEvery = 1024;
+
   // Pushes current totals into the health registry + gauges. Called
-  // automatically every publish_every requests; call once more after the
+  // automatically every kPublishEvery requests; call once more after the
   // run so the final totals are visible.
   void Publish();
 

@@ -88,16 +88,14 @@ bool Engine::Step() {
   ops_.set_time(time_);
   const bool hit = state_.serves(r);
   policy_.Serve(time_, r, ops_);
-  if (options_.strict) {
-    WMLP_CHECK_MSG(state_.serves(r),
-                   policy_.name() << " left request (page=" << r.page
-                                  << ", level=" << r.level
-                                  << ") unserved at t=" << time_);
-    WMLP_CHECK_MSG(state_.size() <= state_.capacity(),
-                   policy_.name() << " overfilled cache at t=" << time_
-                                  << ": " << state_.size() << " > "
-                                  << state_.capacity());
-  }
+  WMLP_CHECK_MSG(state_.serves(r),
+                 policy_.name() << " left request (page=" << r.page
+                                << ", level=" << r.level
+                                << ") unserved at t=" << time_);
+  WMLP_CHECK_MSG(state_.size() <= state_.capacity(),
+                 policy_.name() << " overfilled cache at t=" << time_ << ": "
+                                << state_.size() << " > "
+                                << state_.capacity());
   if constexpr (audit::kEnabled) {
     audit::AuditCacheState(inst, state_);
     audit::AuditCostConvention(inst, state_, ops_.fetch_cost(),
@@ -174,11 +172,9 @@ WMLP_HOT void Engine::StepBatch(std::span<const Request> reqs,
     ops_.set_time(time_);
     const bool hit = state_.serves(r);
     policy_.Serve(time_, r, ops_);
-    if (options_.strict) {
-      if (!state_.serves(r)) BatchFailUnserved(policy_, r, time_);
-      if (state_.size() > state_.capacity()) {
-        BatchFailOverfilled(policy_, state_.size(), state_.capacity(), time_);
-      }
+    if (!state_.serves(r)) BatchFailUnserved(policy_, r, time_);
+    if (state_.size() > state_.capacity()) {
+      BatchFailOverfilled(policy_, state_.size(), state_.capacity(), time_);
     }
     if constexpr (audit::kEnabled) {
       audit::AuditCacheState(inst, state_);

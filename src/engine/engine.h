@@ -13,7 +13,7 @@
 //   - push: construct with just an Instance; the caller hands batches to
 //     StepBatch directly (the sharded server's inbox drain uses this).
 // Either way the per-request semantics — validity check, policy Serve,
-// strict feasibility checks, audit hooks, time advance — are identical to
+// feasibility checks, audit hooks, time advance — are identical to
 // Step(), so batched runs are bitwise-equal to single-stepped ones.
 #pragma once
 
@@ -27,10 +27,9 @@
 
 namespace wmlp {
 
+// Every policy contract violation (an unserved request, an overfull cache)
+// aborts the run: the feasibility checks are unconditional.
 struct EngineOptions {
-  // If true (default), abort on any policy contract violation (unsatisfied
-  // request, overfull cache). Tests rely on this being fatal.
-  bool strict = true;
   // Optional observer notified on every fetch, eviction, and served
   // request. Attach a MultiObserver to fan out. Must outlive the engine.
   StepObserver* observer = nullptr;

@@ -1,80 +1,29 @@
 #include "engine/request_source.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
+#include "trace/trace_io.h"
 #include "util/check.h"
 
 namespace wmlp {
 
-namespace {
-
-bool Fail(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-  return false;
-}
-
-}  // namespace
-
-// ---- StreamingFileSource -------------------------------------------------
-
 std::unique_ptr<StreamingFileSource> StreamingFileSource::Open(
     const std::string& path, std::string* error, const Options& options) {
   if (options.chunk_size < 1) {
-    Fail(error, "chunk_size must be >= 1");
+    if (error != nullptr) *error = "chunk_size must be >= 1";
     return nullptr;
   }
   std::ifstream ifs(path);
   if (!ifs) {
-    Fail(error, "cannot open " + path);
+    if (error != nullptr) *error = "cannot open " + path;
     return nullptr;
   }
-  // Header parsing mirrors trace_io's ReadTrace so both paths accept the
-  // identical format (equivalence is tested).
-  std::string magic;
-  std::getline(ifs, magic);
-  if (magic != "wmlp-trace v1") {
-    Fail(error, "bad magic line: '" + magic + "'");
-    return nullptr;
-  }
-  int32_t n = 0, k = 0, ell = 0;
-  if (!(ifs >> n >> k >> ell) || n < 1 || k < 1 || ell < 1) {
-    Fail(error, "bad header (n k ell)");
-    return nullptr;
-  }
-  if (static_cast<int64_t>(n) * ell > (int64_t{1} << 26)) {
-    Fail(error, "weight matrix too large (n * ell > 2^26)");
-    return nullptr;
-  }
-  std::vector<std::vector<Cost>> weights(
-      static_cast<size_t>(n), std::vector<Cost>(static_cast<size_t>(ell)));
-  for (auto& row : weights) {
-    for (auto& w : row) {
-      if (!(ifs >> w)) {
-        Fail(error, "truncated weight matrix");
-        return nullptr;
-      }
-      if (!std::isfinite(w) || w < 1.0) {
-        Fail(error, "weight not finite or < 1");
-        return nullptr;
-      }
-    }
-    for (size_t i = 1; i < row.size(); ++i) {
-      if (row[i] > row[i - 1]) {
-        Fail(error, "weights not non-increasing in level");
-        return nullptr;
-      }
-    }
-  }
-  int64_t len = 0;
-  if (!(ifs >> len) || len < 0) {
-    Fail(error, "bad trace length");
-    return nullptr;
-  }
-  Instance instance(n, k, ell, std::move(weights));
-  return std::unique_ptr<StreamingFileSource>(new StreamingFileSource(
-      std::move(ifs), std::move(instance), len, options));
+  std::optional<TraceHeader> header = ReadTraceHeader(ifs, error);
+  if (!header) return nullptr;
+  return std::unique_ptr<StreamingFileSource>(
+      new StreamingFileSource(std::move(ifs), std::move(header->instance),
+                              header->length, options));
 }
 
 StreamingFileSource::StreamingFileSource(std::ifstream stream,
@@ -125,59 +74,6 @@ int64_t StreamingFileSource::NextBatch(Request* out, int64_t max) {
     written += take;
   }
   return written;
-}
-
-// ---- GeneratorSource -----------------------------------------------------
-
-GeneratorSource::GeneratorSource(Instance instance, int64_t length,
-                                 uint64_t seed, Sampler sampler)
-    : instance_(std::move(instance)),
-      length_(length),
-      rng_(seed),
-      sampler_(std::move(sampler)) {
-  WMLP_CHECK(length_ >= 0);
-  WMLP_CHECK(sampler_ != nullptr);
-}
-
-bool GeneratorSource::Next(Request& r) {
-  if (pos_ >= length_) return false;
-  r = sampler_(pos_++, rng_);
-  WMLP_CHECK_MSG(instance_.valid_page(r.page) && instance_.valid_level(r.level),
-                 "generator emitted an invalid request at t=" << pos_ - 1);
-  return true;
-}
-
-GeneratorSource GeneratorSource::Zipf(Instance instance, int64_t length,
-                                      double alpha, const LevelMix& mix,
-                                      uint64_t seed) {
-  WMLP_CHECK(static_cast<int32_t>(mix.probs.size()) == instance.num_levels());
-  // Same sampler objects and draw order as GenZipf: page then level, one
-  // shared rng stream.
-  auto zipf = std::make_shared<ZipfSampler>(instance.num_pages(), alpha);
-  return GeneratorSource(
-      std::move(instance), length, seed,
-      [zipf, mix](Time, Rng& rng) {
-        return Request{static_cast<PageId>(zipf->Sample(rng)),
-                       SampleLevel(mix, rng)};
-      });
-}
-
-GeneratorSource GeneratorSource::Uniform(Instance instance, int64_t length,
-                                         const LevelMix& mix, uint64_t seed) {
-  return Zipf(std::move(instance), length, 0.0, mix, seed);
-}
-
-GeneratorSource GeneratorSource::Loop(Instance instance, int64_t length,
-                                      int32_t loop_size, const LevelMix& mix) {
-  WMLP_CHECK(static_cast<int32_t>(mix.probs.size()) == instance.num_levels());
-  WMLP_CHECK(loop_size >= 1 && loop_size <= instance.num_pages());
-  // GenLoop's fixed level seed; the page order is the deterministic loop.
-  return GeneratorSource(
-      std::move(instance), length, 0xC0FFEE,
-      [loop_size, mix](Time t, Rng& rng) {
-        return Request{static_cast<PageId>(t % loop_size),
-                       SampleLevel(mix, rng)};
-      });
 }
 
 }  // namespace wmlp

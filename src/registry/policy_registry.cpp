@@ -3,7 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
+#include <set>
 
 #include "baselines/clock.h"
 #include "baselines/fifo.h"
@@ -23,12 +23,50 @@ namespace wmlp {
 
 namespace {
 
-// Parses one "key=value" of a randomized spec into the options.
-bool ParseRandomizedParam(const std::string& kv, RandomizedOptions* options) {
-  const size_t eq = kv.find('=');
-  if (eq == std::string::npos) return false;
-  const std::string key = kv.substr(0, eq);
-  const std::string raw = kv.substr(eq + 1);
+// The one grammar of a policy spec: `base`, or "base:k1=v1,k2=v2" where
+// an empty list keeps every default. Each item goes to `set`, which
+// returns false on an unknown key or a bad value. An empty item (so a
+// leading, doubled or trailing comma), an item without '=' and a repeated
+// key are rejected too: a typo is rejected, never reinterpreted. Returns
+// false for a name that is not `base`'s.
+template <typename Options>
+bool ParseSpec(const std::string& name, const std::string& base,
+               bool (*set)(const std::string&, const std::string&, Options*),
+               Options* options) {
+  if (name == base) return true;
+  if (name.rfind(base + ":", 0) != 0) return false;
+  const std::string params = name.substr(base.size() + 1);
+  std::set<std::string> seen;
+  for (size_t begin = 0; !params.empty();) {
+    const size_t comma = params.find(',', begin);
+    const std::string item = params.substr(
+        begin, comma == std::string::npos ? comma : comma - begin);
+    const size_t eq = item.find('=');
+    if (eq == std::string::npos) return false;
+    const std::string key = item.substr(0, eq);
+    if (!seen.insert(key).second || !set(key, item.substr(eq + 1), options)) {
+      return false;
+    }
+    if (comma == std::string::npos) break;
+    begin = comma + 1;
+  }
+  return true;
+}
+
+// A spec number is the whole of `raw` and finite. strtod would skip
+// leading whitespace and stop at an embedded NUL; a strict value has
+// neither.
+bool ParseSpecNumber(const std::string& raw, double* value) {
+  if (raw.empty() || std::isspace(static_cast<unsigned char>(raw[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  *value = std::strtod(raw.c_str(), &end);
+  return end == raw.c_str() + raw.size() && std::isfinite(*value);
+}
+
+bool SetRandomizedParam(const std::string& key, const std::string& raw,
+                        RandomizedOptions* options) {
   if (key == "engine") {
     if (raw == "multiplicative") {
       options->engine = FractionalEngine::kMultiplicative;
@@ -41,14 +79,8 @@ bool ParseRandomizedParam(const std::string& kv, RandomizedOptions* options) {
     }
     return true;
   }
-  // strtod would skip leading whitespace and stop at an embedded NUL; a
-  // strict value has neither.
-  if (raw.empty() || std::isspace(static_cast<unsigned char>(raw[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end != raw.c_str() + raw.size() || !std::isfinite(value)) return false;
+  double value = 0.0;
+  if (!ParseSpecNumber(raw, &value)) return false;
   if (key == "beta") {
     if (value < 0.0) return false;
     options->beta = value;
@@ -66,65 +98,37 @@ bool ParseRandomizedParam(const std::string& kv, RandomizedOptions* options) {
   return true;
 }
 
-// Parses "k1=v1,k2=v2" (keys beta, eta, delta, engine; an empty list keeps
-// the defaults) into randomized-policy options. Returns false on an empty
-// item, an unknown key, a malformed or non-finite number, an out-of-range
-// value or an unknown engine: a typo is rejected, never reinterpreted.
-bool ParseRandomizedParams(const std::string& params,
-                           RandomizedOptions* options) {
-  if (params.empty()) return true;
-  for (size_t begin = 0;;) {
-    const size_t comma = params.find(',', begin);
-    const size_t len = comma == std::string::npos ? std::string::npos
-                                                  : comma - begin;
-    if (!ParseRandomizedParam(params.substr(begin, len), options)) {
+// Ranges of lambda, alpha and eta are MakePredictivePolicy's to check.
+bool SetPredictiveParam(const std::string& key, const std::string& raw,
+                        predict::PredictiveOptions* options) {
+  if (key == "noise") return predict::ParseNoiseKind(raw, &options->noise);
+  double value = 0.0;
+  if (!ParseSpecNumber(raw, &value)) return false;
+  if (key == "lambda") {
+    options->lambda = value;
+  } else if (key == "alpha") {
+    options->ewma_alpha = value;
+  } else if (key == "eta") {
+    options->eta = value;
+  } else if (key == "horizon") {
+    // Bounded integral values only: an unchecked cast of e.g. 1e300 to
+    // int64 is undefined.
+    if (!(value >= 0.0 && value <= 1e15) || value != std::floor(value)) {
       return false;
     }
-    if (comma == std::string::npos) return true;
-    begin = comma + 1;
-  }
-}
-
-// Parses "k1=v1,k2=v2" into predictive-combiner options. Returns false on a
-// malformed or out-of-range value.
-bool ParsePredictiveParams(const std::string& params,
-                           predict::PredictiveOptions* options) {
-  std::istringstream iss(params);
-  std::string kv;
-  while (std::getline(iss, kv, ',')) {
-    const size_t eq = kv.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = kv.substr(0, eq);
-    const std::string raw = kv.substr(eq + 1);
-    if (key == "noise") {
-      if (!predict::ParseNoiseKind(raw, &options->noise)) return false;
-      continue;
-    }
-    char* end = nullptr;
-    const double value = std::strtod(raw.c_str(), &end);
-    if (end == raw.c_str() || *end != '\0') return false;
-    if (key == "lambda") {
-      options->lambda = value;
-    } else if (key == "alpha") {
-      options->ewma_alpha = value;
-    } else if (key == "eta") {
-      options->eta = value;
-    } else if (key == "horizon") {
-      // Bounded integral values only: an unchecked cast of e.g. 1e300 to
-      // int64 is undefined, and negative/fractional horizons are rejected
-      // by MakePredictivePolicy anyway — fail fast here instead.
-      if (!(value >= 0.0 && value <= 1e15) || value != std::floor(value)) {
-        return false;
-      }
-      options->horizon = static_cast<int64_t>(value);
-    } else {
-      return false;
-    }
+    options->horizon = static_cast<int64_t>(value);
+  } else {
+    return false;
   }
   return true;
 }
 
 }  // namespace
+
+bool ParsePredictiveSpec(const std::string& name,
+                         predict::PredictiveOptions* options) {
+  return ParseSpec(name, "predictive", SetPredictiveParam, options);
+}
 
 PolicyPtr MakePolicyByName(const std::string& name, uint64_t seed) {
   if (name == "lru") return std::make_unique<LruPolicy>();
@@ -137,45 +141,16 @@ PolicyPtr MakePolicyByName(const std::string& name, uint64_t seed) {
   if (name == "marking") return std::make_unique<MarkingPolicy>(seed);
   if (name == "landlord") return std::make_unique<LandlordPolicy>();
   if (name == "waterfill") return std::make_unique<WaterfillPolicy>();
-  if (name == "randomized" || name == "fractional-rounded") {
-    return MakeRandomizedPolicy(seed);
-  }
-  if (name == "fractional-rounded-linear") {
-    RandomizedOptions options;
-    options.engine = FractionalEngine::kLinear;
-    return MakeRandomizedPolicy(seed, options);
-  }
-  // The reference (O(n * ell)-per-step) fractional engine under the same
-  // rounding: the cross-check oracle for the output-sensitive default.
-  if (name == "fractional-rounded-reference") {
-    RandomizedOptions options;
-    options.engine = FractionalEngine::kReference;
-    return MakeRandomizedPolicy(seed, options);
-  }
   if (name == "unknown-weights") {
     return std::make_unique<predict::UnknownWeightsPolicy>();
   }
-  if (name == "predictive") {
-    return predict::MakePredictivePolicy(seed, predict::PredictiveOptions());
+  predict::PredictiveOptions predictive;
+  if (ParsePredictiveSpec(name, &predictive)) {
+    return predict::MakePredictivePolicy(seed, predictive);
   }
-  constexpr char kPredictivePrefix[] = "predictive:";
-  if (name.rfind(kPredictivePrefix, 0) == 0) {
-    predict::PredictiveOptions options;
-    if (!ParsePredictiveParams(name.substr(sizeof(kPredictivePrefix) - 1),
-                               &options)) {
-      return nullptr;
-    }
-    // MakePredictivePolicy re-validates ranges and returns nullptr itself
-    // on out-of-range lambda/alpha/eta/horizon.
-    return predict::MakePredictivePolicy(seed, options);
-  }
-  constexpr char kPrefix[] = "randomized:";
-  if (name.rfind(kPrefix, 0) == 0) {
-    RandomizedOptions options;
-    if (!ParseRandomizedParams(name.substr(sizeof(kPrefix) - 1), &options)) {
-      return nullptr;
-    }
-    return MakeRandomizedPolicy(seed, options);
+  RandomizedOptions randomized;
+  if (ParseSpec(name, "randomized", SetRandomizedParam, &randomized)) {
+    return MakeRandomizedPolicy(seed, randomized);
   }
   return nullptr;
 }
@@ -184,8 +159,8 @@ std::vector<std::string> KnownPolicyNames() {
   return {"lru",        "fifo",     "clock",
           "sieve",      "2q",       "lfu",
           "random",     "marking",  "landlord",
-          "waterfill",  "randomized", "fractional-rounded-linear",
-          "fractional-rounded-reference", "predictive", "unknown-weights"};
+          "waterfill",  "randomized", "randomized:engine=linear",
+          "randomized:engine=reference", "predictive", "unknown-weights"};
 }
 
 }  // namespace wmlp

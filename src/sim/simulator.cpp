@@ -38,7 +38,6 @@ SimResult Simulate(const Trace& trace, Policy& policy,
                    const SimOptions& options) {
   TraceSource source(trace);
   EngineOptions eopts;
-  eopts.strict = options.strict;
   EventLogObserver log_observer(options.event_log);
   MultiObserver multi;
   if (options.event_log != nullptr && options.observer != nullptr) {

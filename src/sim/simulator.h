@@ -30,10 +30,9 @@ struct SimResult {
   }
 };
 
+// A policy contract violation (unsatisfied request, overfull cache) aborts
+// the run, as in the engine.
 struct SimOptions {
-  // If true (default), abort on any policy contract violation (unsatisfied
-  // request, overfull cache). Tests rely on this being fatal.
-  bool strict = true;
   // If non-null, every fetch/evict is appended here (served by an
   // EventLogObserver under the hood).
   std::vector<CacheEvent>* event_log = nullptr;

@@ -50,7 +50,8 @@ std::string TraceToString(const Trace& trace) {
   return oss.str();
 }
 
-std::optional<Trace> ReadTrace(std::istream& is, std::string* error) {
+std::optional<TraceHeader> ReadTraceHeader(std::istream& is,
+                                           std::string* error) {
   std::string magic;
   std::getline(is, magic);
   if (magic != kMagic) {
@@ -93,7 +94,14 @@ std::optional<Trace> ReadTrace(std::istream& is, std::string* error) {
     Fail(error, "bad trace length");
     return std::nullopt;
   }
-  Trace trace{Instance(n, k, ell, std::move(weights)), {}};
+  return TraceHeader{Instance(n, k, ell, std::move(weights)), len};
+}
+
+std::optional<Trace> ReadTrace(std::istream& is, std::string* error) {
+  std::optional<TraceHeader> header = ReadTraceHeader(is, error);
+  if (!header) return std::nullopt;
+  const int64_t len = header->length;
+  Trace trace{std::move(header->instance), {}};
   trace.requests.reserve(static_cast<size_t>(std::min(len, kMaxReserve)));
   for (int64_t t = 0; t < len; ++t) {
     Request r;

@@ -153,48 +153,6 @@ TEST(StreamingFileSource, RejectsMalformedFiles) {
   std::remove(path.c_str());
 }
 
-TEST(GeneratorSource, ZipfMatchesMaterializedGenerator) {
-  Instance inst(40, 8, 2, MakeWeights(40, 2, WeightModel::kZipfPages, 8.0, 2));
-  const Trace t = GenZipf(inst, 400, 0.9, LevelMix::UniformMix(2), 17);
-  GeneratorSource source = GeneratorSource::Zipf(
-      inst, 400, 0.9, LevelMix::UniformMix(2), 17);
-  Request r;
-  for (Time i = 0; i < t.length(); ++i) {
-    ASSERT_TRUE(source.Next(r));
-    ASSERT_EQ(r, t.requests[static_cast<size_t>(i)]) << "t=" << i;
-  }
-  EXPECT_FALSE(source.Next(r));
-}
-
-TEST(GeneratorSource, LoopMatchesMaterializedGenerator) {
-  Instance inst = Instance::Uniform(9, 8);
-  const Trace t = GenLoop(inst, 300, 9, LevelMix::AllLowest(1));
-  GeneratorSource source =
-      GeneratorSource::Loop(inst, 300, 9, LevelMix::AllLowest(1));
-  Request r;
-  for (Time i = 0; i < t.length(); ++i) {
-    ASSERT_TRUE(source.Next(r));
-    ASSERT_EQ(r, t.requests[static_cast<size_t>(i)]);
-  }
-  EXPECT_FALSE(source.Next(r));
-}
-
-TEST(GeneratorSource, DrivesTheEngineWithoutMaterializing) {
-  Instance inst = Instance::Uniform(65, 64);
-  PolicyPtr lru_gen = MakePolicyByName("lru", 1);
-  GeneratorSource source =
-      GeneratorSource::Loop(inst, 650, 65, LevelMix::AllLowest(1));
-  Engine engine(source, *lru_gen);
-  const SimResult streamed = engine.Run();
-
-  PolicyPtr lru_mem = MakePolicyByName("lru", 1);
-  const SimResult materialized =
-      Simulate(GenLoop(inst, 650, 65, LevelMix::AllLowest(1)), *lru_mem);
-  EXPECT_TRUE(SameResult(streamed, materialized));
-  // The classic adversary: LRU faults on every request.
-  EXPECT_EQ(streamed.misses, 650);
-}
-
 // --- Batched-vs-single equivalence battery ------------------------------
 //
 // The batching contract (docs/ARCHITECTURE.md §11): StepBatch serves its

@@ -145,19 +145,6 @@ TEST(Simulator, StrictUnservedIsFatal) {
   EXPECT_DEATH(Simulate(t, policy), "unserved");
 }
 
-TEST(Simulator, NonStrictObservesViolationsWithoutAborting) {
-  // strict = false turns contract violations into observable outcomes
-  // (misses pile up, no abort) — for measuring how broken a policy is
-  // rather than crashing on it.
-  Trace t{TwoLevel(), {{0, 2}, {1, 2}, {0, 2}}};
-  NoopPolicy policy;
-  SimOptions opts;
-  opts.strict = false;
-  const SimResult res = Simulate(t, policy, opts);
-  EXPECT_EQ(res.misses, 3);
-  EXPECT_EQ(res.fetches, 0);
-}
-
 TEST(Simulator, StrictOverfillIsFatal) {
   Instance inst = TwoLevel(4, 2);
   Trace t{inst, {{0, 2}, {1, 2}, {2, 2}}};

@@ -1,9 +1,8 @@
-// Regression tests for the CLI flag parser (tools/tool_util.h).
-//
-// The old getters called strtoll/strtod with no error checking, so a typo
-// like "--trials 1O" silently parsed as 0 and the tool ran a zero-trial
-// experiment instead of failing. The getters now die with a message naming
-// the flag on any malformed or partially-consumed value.
+// Tests for the strict flag parser every binary uses (util/flags.h): a
+// malformed or partially-consumed value ("--trials 1O") exits 1 naming the
+// flag instead of reading as 0, and an undeclared flag ("--trails 5"), a
+// stray argument, a repeated flag or a missing value exits 2 naming the
+// token instead of being ignored.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +13,12 @@
 namespace wmlp::tools {
 namespace {
 
+// The flags of a made-up tool.
+const cli::FlagSpec kSpec = {
+    .values = {"trials", "alpha", "out", "seed", "ratio"},
+    .switches = {"verbose"},
+    .lists = {"names"}};
+
 Flags MakeFlags(std::initializer_list<std::string> args) {
   static std::vector<std::string> storage;
   storage.assign({"prog"});
@@ -21,7 +26,7 @@ Flags MakeFlags(std::initializer_list<std::string> args) {
   static std::vector<char*> argv;
   argv.clear();
   for (std::string& s : storage) argv.push_back(s.data());
-  return Flags(static_cast<int>(argv.size()), argv.data());
+  return Flags(static_cast<int>(argv.size()), argv.data(), kSpec);
 }
 
 TEST(ToolUtilTest, ParsesWellFormedFlags) {
@@ -32,13 +37,13 @@ TEST(ToolUtilTest, ParsesWellFormedFlags) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0.0), 0.75);
   EXPECT_EQ(flags.GetString("out"), "x.txt");
   EXPECT_TRUE(flags.Has("verbose"));
-  EXPECT_FALSE(flags.Has("missing"));
+  EXPECT_FALSE(flags.Has("seed"));
   // A list flag takes every value up to the next flag.
   EXPECT_EQ(flags.GetList("names"),
             (std::vector<std::string>{"a", "b{s=\"0\"}"}));
   EXPECT_EQ(flags.GetString("names"), "a");
   EXPECT_TRUE(flags.GetList("verbose").empty());
-  EXPECT_TRUE(flags.GetList("missing").empty());
+  EXPECT_TRUE(flags.GetList("seed").empty());
 }
 
 TEST(ToolUtilTest, MissingFlagsReturnDefaults) {
@@ -74,10 +79,12 @@ TEST(ToolUtilDeathTest, FloatForIntegerFlagDies) {
 }
 
 TEST(ToolUtilDeathTest, EmptyIntegerValueDies) {
-  // "--trials --verbose": value-less flag followed by another flag.
-  const Flags flags = MakeFlags({"--trials", "--verbose"});
-  EXPECT_EXIT(flags.GetInt("trials", 0), ::testing::ExitedWithCode(1),
-              "--trials expects an integer");
+  // "--trials --verbose": value-less flag followed by another flag, and a
+  // value flag at the end of the line.
+  EXPECT_EXIT(MakeFlags({"--trials", "--verbose"}),
+              ::testing::ExitedWithCode(2), "missing value for '--trials'");
+  EXPECT_EXIT(MakeFlags({"--verbose", "--trials"}),
+              ::testing::ExitedWithCode(2), "missing value for '--trials'");
 }
 
 TEST(ToolUtilDeathTest, TrailingJunkDoubleDies) {
@@ -90,6 +97,46 @@ TEST(ToolUtilDeathTest, OutOfRangeDoubleDies) {
   const Flags flags = MakeFlags({"--alpha", "1e999"});
   EXPECT_EXIT(flags.GetDouble("alpha", 0.0), ::testing::ExitedWithCode(1),
               "--alpha expects a number");
+}
+
+TEST(ToolUtilDeathTest, UndeclaredFlagExits2) {
+  EXPECT_EXIT(MakeFlags({"--trails", "5"}), ::testing::ExitedWithCode(2),
+              "unknown flag '--trails'");
+  // One spelling per flag: no --name=value, no single dash.
+  EXPECT_EXIT(MakeFlags({"--trials=5"}), ::testing::ExitedWithCode(2),
+              "unknown flag '--trials=5'");
+}
+
+TEST(ToolUtilDeathTest, PositionalArgumentExits2) {
+  EXPECT_EXIT(MakeFlags({"--trials", "5", "stray"}),
+              ::testing::ExitedWithCode(2), "unexpected argument 'stray'");
+  EXPECT_EXIT(MakeFlags({"-trials", "5"}), ::testing::ExitedWithCode(2),
+              "unexpected argument '-trials'");
+}
+
+TEST(ToolUtilDeathTest, RepeatedFlagExits2) {
+  EXPECT_EXIT(MakeFlags({"--trials", "2", "--trials", "4"}),
+              ::testing::ExitedWithCode(2), "repeated flag '--trials'");
+  EXPECT_EXIT(MakeFlags({"--names", "a", "--verbose", "--names", "b"}),
+              ::testing::ExitedWithCode(2), "repeated flag '--names'");
+}
+
+TEST(ToolUtilDeathTest, SwitchGivenAValueExits2) {
+  EXPECT_EXIT(MakeFlags({"--verbose", "yes"}), ::testing::ExitedWithCode(2),
+              "unexpected argument 'yes'");
+}
+
+TEST(ToolUtilTest, ListFlagTakesEveryValueUpToTheNextFlag) {
+  const Flags flags = MakeFlags({"--names", "a", "-1", "--trials", "3"});
+  EXPECT_EQ(flags.GetList("names"), (std::vector<std::string>{"a", "-1"}));
+  EXPECT_EQ(flags.GetInt("trials", 0), 3);
+  EXPECT_EXIT(MakeFlags({"--names", "--verbose"}),
+              ::testing::ExitedWithCode(2), "missing value for '--names'");
+}
+
+TEST(ToolUtilDeathTest, ReadingAnUndeclaredFlagIsABug) {
+  const Flags flags = MakeFlags({});
+  EXPECT_DEATH(flags.GetInt("trails", 1), "--trails read but never declared");
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 // exercise directory-scoped rules on TUs that live under tests/.
 //
 // Output: one `path:line: [rule-id] message` per finding, sorted.
-// Exit codes: 0 clean, 1 findings, 2 usage error.
+// Exit codes: 0 clean, 1 findings, 2 usage error (util/flags.h: an
+// unknown, repeated or value-less flag, or a stray argument).
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -23,59 +24,26 @@
 #include <vector>
 
 #include "lint/lint.h"
-
-namespace {
-
-[[noreturn]] void Usage(const std::string& message) {
-  std::cerr << "error: " << message << "\n"
-            << "usage: wmlp_lint --root <repo> [--compile-db <json>] |\n"
-            << "       wmlp_lint --root <repo> --files <f>... "
-               "[--as-dir <dir>] |\n"
-            << "       wmlp_lint --list-rules\n";
-  std::exit(2);
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
-  std::string root;
-  std::string compile_db;
-  std::string as_dir;
-  std::vector<std::string> files;
-  bool list_rules = false;
+  const wmlp::cli::Flags flags(
+      argc, argv,
+      {.values = {"root", "compile-db", "as-dir"},
+       .switches = {"list-rules"},
+       .lists = {"files"}});
+  const std::string root = flags.GetString("root");
+  const std::string compile_db = flags.GetString("compile-db");
+  const std::string as_dir = flags.GetString("as-dir");
+  const std::vector<std::string> files = flags.GetList("files");
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) Usage(std::string(flag) + " requires a value");
-      return argv[++i];
-    };
-    if (arg == "--root") {
-      root = value("--root");
-    } else if (arg == "--compile-db") {
-      compile_db = value("--compile-db");
-    } else if (arg == "--as-dir") {
-      as_dir = value("--as-dir");
-    } else if (arg == "--list-rules") {
-      list_rules = true;
-    } else if (arg == "--files") {
-      while (i + 1 < argc &&
-             std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        files.push_back(argv[++i]);
-      }
-      if (files.empty()) Usage("--files requires at least one file");
-    } else {
-      Usage("unknown flag: " + arg);
-    }
-  }
-
-  if (list_rules) {
+  if (flags.Has("list-rules")) {
     for (const std::string& rule : wmlp::lint::RuleIds()) {
       std::cout << rule << "\n";
     }
     return 0;
   }
-  if (root.empty()) Usage("--root is required");
+  if (root.empty()) wmlp::cli::Die("--root is required", 2);
 
   std::vector<wmlp::lint::Finding> findings;
   if (!files.empty()) {

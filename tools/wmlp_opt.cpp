@@ -1,6 +1,6 @@
 // Compute offline optimum bounds for a saved trace.
 //
-// Usage: wmlp_opt --trace t.wmlp [--dp-limit 300000]
+// Usage: wmlp_opt --trace t.wmlp [--dp-limit 300000]; anything else exits 2.
 #include <iostream>
 
 #include "harness/table.h"
@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmlp;
-  const tools::Flags flags(argc, argv);
+  const tools::Flags flags(argc, argv, {.values = {"trace", "dp-limit"}});
   const std::string path = flags.GetString("trace");
   if (path.empty()) tools::Die("--trace is required");
 

@@ -2,17 +2,18 @@
 //
 // Usage:
 //   wmlp_run --trace t.wmlp --policy landlord [--seed 1] [--trials 5]
-//            [--opt] [--reference-solver] [--batch 256]
-//   wmlp_run --trace t.wmlp --policy predictive [--predictor ewma|oracle]
-//            [--pred-noise none|lognormal|swap|stale] [--pred-eta 0.5]
-//            [--pred-lambda 0.75] [--pred-horizon 0]
+//            [--opt] [--batch 256]
+//   wmlp_run --trace t.wmlp --policy predictive:lambda=0.5,noise=swap,eta=0.25
+//            [--predictor ewma|oracle]
 //   wmlp_run --trace-stream t.wmlp --policy lru [--chunk 4096] [--latency]
 //            [--watchdog] [--watchdog-threshold 8.0]
 //   wmlp_run --import accesses.log --k 64 [--dirty 10] [--clean 1] ...
 //
-// All modes accept --telemetry-out (snapshot JSON), --trace-out (Perfetto
-// trace_event JSON), and --stats-interval (periodic Prometheus text on
-// stderr); see src/telemetry/export.h.
+// --policy takes any registry name or spec (registry/policy_registry.h),
+// e.g. randomized:engine=reference for the O(n * ell)-per-step reference
+// solver. All modes accept the shared telemetry flags (tools/tool_util.h;
+// src/telemetry/export.h). Any other flag, a repeated flag or a stray
+// argument exits 2.
 //
 // --trace-stream replays the same format incrementally through the engine's
 // StreamingFileSource, holding only O(chunk) requests in memory — use it for
@@ -30,12 +31,12 @@
 // invariant to it (engine/engine.h).
 // --opt also computes the offline optimum bounds and prints ratios
 // (in-memory paths only).
-// The --predictor / --pred-* flags configure the predictive combiner
-// (docs/ARCHITECTURE.md §14) and require --policy predictive; --predictor
-// oracle primes an exact next-request-time oracle from the in-memory trace
-// (cloned per trial), so it needs --trace, not --trace-stream. Out-of-range
-// values (negative eta or horizon, lambda outside [0, 1], unknown noise
-// kind) are rejected before any trace is read.
+// --predictor picks the predictive combiner's predictor (docs/
+// ARCHITECTURE.md §14) and requires --policy predictive or one of its
+// specs, which carry the combiner's options; oracle primes an exact
+// next-request-time oracle from the in-memory trace (cloned per trial), so
+// it needs --trace, not --trace-stream. A malformed or out-of-range spec
+// is rejected before any trace is read.
 // Randomized policies are averaged over --trials seeds.
 #include <iostream>
 #include <optional>
@@ -47,7 +48,6 @@
 #include "harness/table.h"
 #include "harness/thread_pool.h"
 #include "offline/bounds.h"
-#include "predict/noise.h"
 #include "predict/oracle.h"
 #include "predict/predictive_policy.h"
 #include "registry/policy_registry.h"
@@ -110,25 +110,18 @@ std::vector<SimResult> RunStreaming(const std::string& path,
 
 int main(int argc, char** argv) {
   using namespace wmlp;
-  const tools::Flags flags(argc, argv);
+  const tools::Flags flags(
+      argc, argv,
+      tools::WithTelemetryFlags(
+          {.values = {"trace", "trace-stream", "import", "policy", "predictor",
+                      "seed", "trials", "batch", "chunk",
+                      "watchdog-threshold", "k", "dirty", "clean",
+                      "max-requests"},
+           .switches = {"opt", "latency", "watchdog"}}));
   const std::string path = flags.GetString("trace");
   const std::string stream_path = flags.GetString("trace-stream");
   const std::string import_path = flags.GetString("import");
-  std::string policy_name = flags.GetString("policy", "lru");
-  // The fractional stack defaults to the output-sensitive solver;
-  // --reference-solver opts back into the O(n * ell)-per-step oracle.
-  if (flags.Has("reference-solver")) {
-    if (policy_name == "randomized" || policy_name == "fractional-rounded") {
-      policy_name = "fractional-rounded-reference";
-    } else if (policy_name == "randomized:") {
-      policy_name += "engine=reference";
-    } else if (policy_name.rfind("randomized:", 0) == 0) {
-      policy_name += ",engine=reference";
-    } else {
-      tools::Die("--reference-solver only applies to the randomized /"
-                 " fractional-rounded policies");
-    }
-  }
+  const std::string policy_name = flags.GetString("policy", "lru");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const int32_t trials =
       static_cast<int32_t>(flags.GetIntInRange("trials", 1, 1, 1000000));
@@ -141,45 +134,28 @@ int main(int argc, char** argv) {
     tools::Die("--trace, --trace-stream, or --import is required");
   }
 
-  // Predictive-combiner flags (strictly validated before any trace I/O:
-  // the range getters refuse negative eta/horizon and lambda outside
-  // [0, 1] rather than clamping).
-  const bool has_pred_flags =
-      flags.Has("predictor") || flags.Has("pred-noise") ||
-      flags.Has("pred-eta") || flags.Has("pred-lambda") ||
-      flags.Has("pred-horizon");
-  const std::string predictor_kind = flags.GetString("predictor", "ewma");
+  // Validate the policy name once; a predictive spec's range error is
+  // MakePredictivePolicy's message.
   predict::PredictiveOptions popts;
-  if (has_pred_flags) {
-    if (policy_name != "predictive") {
-      tools::Die("--predictor / --pred-* flags require --policy predictive"
-                 " (for parameterized forms use predictive:k=v,...)");
-    }
-    if (predictor_kind != "ewma" && predictor_kind != "oracle") {
-      tools::Die("--predictor must be 'ewma' or 'oracle', got '" +
-                 predictor_kind + "'");
-    }
-    popts.lambda = flags.GetDoubleInRange("pred-lambda", 0.75, 0.0, 1.0);
-    popts.horizon =
-        flags.GetIntInRange("pred-horizon", 0, 0, int64_t{1} << 40);
-    popts.eta = flags.GetDoubleInRange("pred-eta", 0.0, 0.0, 1e15);
-    const std::string noise_name = flags.GetString("pred-noise", "none");
-    if (!predict::ParseNoiseKind(noise_name, &popts.noise)) {
-      tools::Die("--pred-noise must be none, lognormal, swap, or stale;"
-                 " got '" + noise_name + "'");
-    }
-    std::string perr;
-    if (predict::MakePredictivePolicy(seed, popts, nullptr, &perr) ==
-        nullptr) {
-      tools::Die(perr);
-    }
+  const bool predictive = ParsePredictiveSpec(policy_name, &popts);
+  std::string perr;
+  if (predictive &&
+      predict::MakePredictivePolicy(seed, popts, nullptr, &perr) == nullptr) {
+    tools::Die(perr);
   }
-
-  // Validate the policy name once.
   if (MakePolicyByName(policy_name, seed) == nullptr) {
     std::string names;
     for (const auto& n : KnownPolicyNames()) names += " " + n;
     tools::Die("unknown policy '" + policy_name + "'; known:" + names);
+  }
+  const std::string predictor_kind = flags.GetString("predictor", "ewma");
+  if (flags.Has("predictor") && !predictive) {
+    tools::Die("--predictor requires --policy predictive"
+               " (or predictive:k=v,...)");
+  }
+  if (predictor_kind != "ewma" && predictor_kind != "oracle") {
+    tools::Die("--predictor must be 'ewma' or 'oracle', got '" +
+               predictor_kind + "'");
   }
 
   const telemetry::TelemetryRunOptions topts =
@@ -202,9 +178,8 @@ int main(int argc, char** argv) {
     if (flags.Has("opt")) {
       tools::Die("--opt needs the whole trace in memory; use --trace");
     }
-    if (has_pred_flags) {
-      tools::Die("--predictor / --pred-* need the whole trace in memory;"
-                 " use --trace");
+    if (flags.Has("predictor")) {
+      tools::Die("--predictor needs the whole trace in memory; use --trace");
     }
     LatencyHistogram histogram;
     const auto results = RunStreaming(
@@ -280,13 +255,12 @@ int main(int argc, char** argv) {
   // The oracle's occurrence tables are built once; Clone() shares them, so
   // the fresh-policy-per-trial discipline stays O(1) per trial.
   predict::PredictorPtr oracle;
-  if (has_pred_flags && predictor_kind == "oracle") {
+  if (predictor_kind == "oracle") {
     oracle = predict::OraclePredictor::FromTrace(*trace);
   }
   const auto factory = [&](uint64_t s) -> PolicyPtr {
-    if (!has_pred_flags) return MakePolicyByName(policy_name, s);
-    return predict::MakePredictivePolicy(
-        s, popts, oracle == nullptr ? nullptr : oracle->Clone());
+    if (oracle == nullptr) return MakePolicyByName(policy_name, s);
+    return predict::MakePredictivePolicy(s, popts, oracle->Clone());
   };
   const auto results = RunTrials(pool, *trace, factory, trials, seed, eopts);
 

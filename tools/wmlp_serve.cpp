@@ -35,14 +35,15 @@
 // --sample-interval N snapshots every metric into in-memory ring buffers
 // every N seconds (--sample-retention points each), exported as the
 // snapshot's "timeseries" section and live on /vars. --http-port P serves
-// /metrics, /vars, and /healthz on 127.0.0.1:P (0 or bare = ephemeral;
+// /metrics, /vars, and /healthz on 127.0.0.1:P (0 = ephemeral;
 // --http-port-file records the bound port for scripts). --watchdog
 // attaches the per-shard cost-ratio watchdog (engine/cost_watchdog.h);
 // --watchdog-threshold R flips /healthz unhealthy when the realized
 // eviction cost provably exceeds R x the offline optimum. --linger N
 // keeps the process (and its endpoint) alive N seconds after serving so
 // an external scraper can observe the final state. None of these change
-// any cost/count output byte (tests/telemetry_test.cpp).
+// any cost/count output byte (tests/telemetry_test.cpp). Any other flag, a
+// repeated flag or a stray argument exits 2.
 #include <chrono>
 #include <iostream>
 #include <thread>
@@ -59,16 +60,19 @@
 
 int main(int argc, char** argv) {
   using namespace wmlp;
-  const tools::Flags flags(argc, argv);
+  const tools::Flags flags(
+      argc, argv,
+      tools::WithTelemetryFlags(
+          {.values = {"trace", "policy", "shards", "clients", "batch",
+                      "engine-batch", "seed", "watchdog-threshold", "linger"},
+           .switches = {"latency", "compare", "watchdog"}}));
   const std::string path = flags.GetString("trace");
   if (path.empty()) tools::Die("--trace is required");
 
   ServeOptions options;
   options.policy = flags.GetString("policy", "waterfill");
-  // Range-checked getters are the first line (they also guard the int32
-  // narrowing that the old GetInt round-trip check existed for);
-  // ValidateServeConfig below still applies the config surface's own
-  // ceilings — values are rejected, never clamped.
+  // The range getters also guard the int32 casts; ValidateServeConfig
+  // below applies the serve surface's own ceilings. Nothing is clamped.
   options.shards = static_cast<int32_t>(
       flags.GetIntInRange("shards", 4, 0, (int64_t{1} << 31) - 1));
   options.clients = static_cast<int32_t>(

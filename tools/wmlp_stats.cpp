@@ -25,7 +25,8 @@
 //                         no metric vanished or changed type or layout, no
 //                         counter, histogram count or bucket went
 //                         backwards, and the uptime did not shrink.
-// It prints every failed assertion and exits 1 if there was one.
+// It prints every failed assertion and exits 1 if there was one. Any
+// other flag, a repeated flag or a stray argument exits 2 in every mode.
 //
 // The summary prints one row per metric: counters as their value, gauges
 // as-is, histograms as count/mean/p50/p99 from the stored buckets
@@ -252,10 +253,6 @@ int RunCheck(const tools::Flags& flags) {
   if (snapshot_path.empty() && trace_path.empty()) {
     tools::Die("--check needs --snapshot and/or --trace");
   }
-  if (flags.Has("require-nonzero") &&
-      flags.GetList("require-nonzero").empty()) {
-    tools::Die("--require-nonzero needs at least one metric name");
-  }
   std::vector<std::string> failures;
   std::string checked;
   if (!snapshot_path.empty()) {
@@ -294,7 +291,12 @@ int RunCheck(const tools::Flags& flags) {
 
 int main(int argc, char** argv) {
   using namespace wmlp;
-  const tools::Flags flags(argc, argv);
+  const tools::Flags flags(
+      argc, argv,
+      {.values = {"snapshot", "trace", "base", "filter", "min-ticks"},
+       .switches = {"check", "prometheus", "require-compiled",
+                    "require-timeseries", "require-system"},
+       .lists = {"require-nonzero"}});
   if (flags.Has("check")) return RunCheck(flags);
   const std::string snapshot_path = flags.GetString("snapshot");
   if (snapshot_path.empty()) tools::Die("--snapshot is required");

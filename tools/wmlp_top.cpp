@@ -2,7 +2,6 @@
 //
 // Usage:
 //   wmlp_top --connect 127.0.0.1:8080        poll a /vars endpoint
-//   wmlp_top --port 8080                     shorthand for 127.0.0.1:PORT
 //   wmlp_top --snapshot-file s.json          tail a snapshot file instead
 //   ... [--interval 1.0] [--iterations 0] [--plain] [--filter substr]
 //
@@ -14,12 +13,14 @@
 // --iterations N exits after N polls (0 = run until interrupted);
 // --plain suppresses the ANSI clear-screen so output appends, which is
 // what scripts and the smoke test want. --filter restricts the metric and
-// time-series tables to names containing the substring.
+// time-series tables to names containing the substring. Any other flag, a
+// repeated flag or a stray argument exits 2.
 //
 // The dashboard is a pure consumer: it never registers metrics, so
 // pointing it at its own process would show nothing. Rendering tolerates
 // missing sections (telemetry-OFF builds, sampler not enabled) and
 // renders whatever is present.
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -198,18 +199,16 @@ void Render(const SnapshotFile& snapshot, const std::string& source,
 
 int main(int argc, char** argv) {
   using namespace wmlp;
-  const tools::Flags flags(argc, argv);
+  const tools::Flags flags(
+      argc, argv,
+      {.values = {"connect", "snapshot-file", "interval", "iterations",
+                  "filter"},
+       .switches = {"plain"}});
 
   const std::string snapshot_file = flags.GetString("snapshot-file");
-  std::string connect = flags.GetString("connect");
-  if (flags.Has("port")) {
-    if (!connect.empty()) tools::Die("--port conflicts with --connect");
-    connect = "127.0.0.1:" +
-              std::to_string(flags.GetIntInRange("port", 0, 1, 65535));
-  }
+  const std::string connect = flags.GetString("connect");
   if (snapshot_file.empty() == connect.empty()) {
-    tools::Die("exactly one of --connect/--port or --snapshot-file"
-               " is required");
+    tools::Die("exactly one of --connect or --snapshot-file is required");
   }
   std::string host;
   int port = 0;
@@ -220,14 +219,12 @@ int main(int argc, char** argv) {
       tools::Die("--connect expects HOST:PORT, got '" + connect + "'");
     }
     host = connect.substr(0, colon);
-    const std::string port_text = connect.substr(colon + 1);
-    try {
-      port = std::stoi(port_text);
-    } catch (...) {
-      tools::Die("--connect port '" + port_text + "' is not a number");
-    }
-    if (port < 1 || port > 65535) {
-      tools::Die("--connect port must be in [1, 65535]");
+    const std::string text = connect.substr(colon + 1);
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), port);
+    if (ec != std::errc{} || end != text.data() + text.size() || port < 1 ||
+        port > 65535) {
+      tools::Die("--connect port must be in [1, 65535], got '" + text + "'");
     }
   }
 

@@ -11,6 +11,7 @@
 // --sectors, --chunk-prob; ignores --n/--ell).
 // Weights: uniform, geometric, zipfpages, loguniform.
 // Mix: lowest, uniform, rw:<write_ratio>, geo:<decay>.
+// Any other flag, a repeated flag or a stray argument exits 2.
 #include <iostream>
 
 #include "tool_util.h"
@@ -47,7 +48,12 @@ LevelMix ParseMix(const std::string& s, int32_t ell) {
 
 int main(int argc, char** argv) {
   using namespace wmlp;
-  const tools::Flags flags(argc, argv);
+  const tools::Flags flags(
+      argc, argv,
+      {.values = {"kind", "n", "k", "ell", "length", "alpha", "ratio", "seed",
+                  "out", "weights", "mix", "loop-size", "ws-size",
+                  "phase-len", "scan-len", "scan-prob", "stay", "window",
+                  "chunks", "sectors", "chunk-prob"}});
   const std::string kind = flags.GetString("kind", "zipf");
   // Every numeric flag is range-checked (tool_util.h convention): the
   // upper bounds double as the int32 narrowing guard for the casts below.

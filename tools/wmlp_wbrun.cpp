@@ -2,12 +2,12 @@
 //
 // Usage:
 //   wmlp_wbrun --n 64 --k 8 --length 10000 --write-ratio 0.3
-//       --dirty 20 --clean 1 [--alpha 0.8] [--seed 1] [--save t.wbtrace]
+//       --dirty 20 --clean 1 [--alpha 0.8] [--seed 1] [--page-dependent]
+//       [--save t.wbtrace]
 //   wmlp_wbrun --trace t.wbtrace
 //
-// Accepts the shared telemetry flags (--telemetry-out, --trace-out,
-// --stats-interval, --sample-interval, --sample-retention, --http-port,
-// --http-port-file); see src/telemetry/export.h.
+// Accepts the shared telemetry flags (tools/tool_util.h); any other flag,
+// a repeated flag or a stray argument exits 2.
 //
 // Runs the native writeback baselines and the paper's algorithms through
 // the Lemma 2.1 reduction, printing a comparison against the offline
@@ -30,7 +30,12 @@
 
 int main(int argc, char** argv) {
   using namespace wmlp;
-  const tools::Flags flags(argc, argv);
+  const tools::Flags flags(
+      argc, argv,
+      tools::WithTelemetryFlags(
+          {.values = {"trace", "n", "k", "length", "alpha", "write-ratio",
+                      "dirty", "clean", "seed", "save"},
+           .switches = {"page-dependent"}}));
   const telemetry::TelemetryRunOptions topts =
       tools::ParseTelemetryFlags(flags);
   telemetry::TelemetrySession telemetry_session(topts);
@@ -98,7 +103,7 @@ int main(int argc, char** argv) {
   const Trace rw_trace = wb::ToRwTrace(trace);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   for (const char* name :
-       {"waterfill", "randomized", "fractional-rounded-linear"}) {
+       {"waterfill", "randomized", "randomized:engine=linear"}) {
     wb::WbFromRwPolicy wb_policy(MakePolicyByName(name, seed));
     PolicyPtr rw_policy = MakePolicyByName(name, seed);
     TraceSource source(rw_trace);
