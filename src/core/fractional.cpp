@@ -105,6 +105,9 @@ void FractionalMlp::Attach(const Instance& instance) {
   act_lp_.clear();
   act_e1_.clear();
   act_cnt_.clear();
+  act_d_.clear();
+  act_iw_.clear();
+  d_key_ = kNoIncrements;
   accrue_count_ = 0;
 
   req_page_ = -1;
@@ -120,6 +123,7 @@ void FractionalMlp::Attach(const Instance& instance) {
   segments_solved_ = 0;
   newton_iterations_ = 0;
   bisection_fallbacks_ = 0;
+  gain_evaluations_ = 0;
   schedule_.u.clear();
   if (options_.record_schedule) schedule_.u.emplace_back(un, 1.0);
 }
@@ -178,6 +182,7 @@ void FractionalMlp::GroupInsert(PageId p) {
   const double w = instance_->weight(p, rec.cursor);
   const int32_t gi = GroupIndexFor(w);
   Group& g = groups_[static_cast<size_t>(gi)];
+  d_key_ = kNoIncrements;
   if (g.members.empty()) {
     // A group that sat empty keeps a stale base; the clock may have jumped
     // arbitrarily far past it (a heavy-weight event), and a term computed
@@ -194,6 +199,8 @@ void FractionalMlp::GroupInsert(PageId p) {
     act_lp_.push_back(0.0);
     act_e1_.push_back(1.0);
     act_cnt_.push_back(0.0);
+    act_d_.push_back(0.0);
+    act_iw_.push_back(1.0 / g.w);
     if constexpr (telemetry::kEnabled) {
       WMLP_TELEMETRY_COUNTER(rebases, "wmlp_fractional_empty_group_rebase_total");
       rebases.Inc();
@@ -228,6 +235,7 @@ void FractionalMlp::GroupRemove(PageId p) {
   // sums carry no insert/remove round-trip residue.
   const double term = rec.term;
   const size_t ap = static_cast<size_t>(g.active_pos);
+  d_key_ = kNoIncrements;
   act_mass_[ap] -= term;
   act_lp_[ap] -= rec.csum * term;
   act_cnt_[ap] -= 1.0;
@@ -242,6 +250,7 @@ void FractionalMlp::GroupRemove(PageId p) {
   if (g.members.empty()) {
     // Swap-pop the group's SoA slot in lockstep with active_groups_; its
     // residual mass dies with the slot, so reactivation starts exact.
+    // act_d_ only shrinks: its values died with d_key_ above.
     const size_t last = active_groups_.size() - 1;
     const int32_t moved = active_groups_[last];
     active_groups_[ap] = moved;
@@ -250,6 +259,7 @@ void FractionalMlp::GroupRemove(PageId p) {
     act_lp_[ap] = act_lp_[last];
     act_e1_[ap] = act_e1_[last];
     act_cnt_[ap] = act_cnt_[last];
+    act_iw_[ap] = act_iw_[last];
     groups_[static_cast<size_t>(moved)].active_pos = static_cast<int32_t>(ap);
     active_groups_.pop_back();
     act_w_.pop_back();
@@ -257,6 +267,8 @@ void FractionalMlp::GroupRemove(PageId p) {
     act_lp_.pop_back();
     act_e1_.pop_back();
     act_cnt_.pop_back();
+    act_d_.pop_back();
+    act_iw_.pop_back();
     g.base_s = clock_;
     g.removals = 0;
     g.active_pos = -1;
@@ -299,6 +311,7 @@ void FractionalMlp::RebuildGroup(Group& g) {
   act_mass_[ap] = mass;
   act_lp_[ap] = lp;
   act_e1_[ap] = 1.0;  // base_s == clock_ now, exactly
+  d_key_ = kNoIncrements;
 }
 
 void FractionalMlp::RebaseGroupsTo(double s_horizon) {
@@ -318,7 +331,7 @@ void FractionalMlp::RebaseGroupsTo(double s_horizon) {
   }
 }
 
-void FractionalMlp::RefreshE1(double s2) {
+void FractionalMlp::RefreshE1() {
   const size_t m = active_groups_.size();
   if (rebuild_x_.size() < m) {
     rebuild_x_.resize(m);
@@ -326,9 +339,10 @@ void FractionalMlp::RefreshE1(double s2) {
   }
   for (size_t j = 0; j < m; ++j) {
     const Group& g = groups_[static_cast<size_t>(active_groups_[j])];
-    rebuild_x_[j] = (s2 - g.base_s) / act_w_[j];
+    rebuild_x_[j] = (clock_ - g.base_s) / act_w_[j];
   }
   kernels::ExpBatch(rebuild_x_.data(), act_e1_.data(), m);
+  d_key_ = kNoIncrements;
 }
 
 void FractionalMlp::PushEvent(PageId p) {
@@ -411,21 +425,51 @@ double FractionalMlp::TotalAbsentMass() const {
   return total;
 }
 
-void FractionalMlp::AccrueCostsTo(double s2) {
-  // One fused 4-wide pass: per group d = e1 * expm1((s2 - clock_)/w)
-  // (expm1 keeps the exponential difference accurate when the advance is a
-  // tiny fraction of w — the direct e2 - e1 would cancel and the error is
-  // amplified by w in the movement meter), meters advance by
-  // w * mass * d / lp * d, and e1 += d folds the clock advance into the
-  // SoA so no exp is ever recomputed for it. The caller sets clock_ = s2.
+double FractionalMlp::SegmentGain(double ds, double* rate) {
+  // One fused 4-wide pass over the persistent SoA: per group
+  // d = e1 * expm1(ds / w), with e1 = e^{(clock_ - base_s)/w} already live
+  // in act_e1_. expm1 keeps the exponential difference accurate when the
+  // advance is a tiny fraction of w; the direct e2 - e1 would cancel
+  // catastrophically, and the error is amplified by w in the cost meters.
+  ++gain_evaluations_;
+  const kernels::GainRate gr = kernels::GainRateBatch(
+      act_w_.data(), act_mass_.data(), act_e1_.data(), act_w_.size(), ds,
+      act_d_.data());
+  d_key_ = std::bit_cast<uint64_t>(ds);
+  if (rate != nullptr) *rate = gr.rate;
+  return gr.gain;
+}
+
+double FractionalMlp::TaylorStart(double need) const {
+  // Every Taylor coefficient of g(ds) = sum_j mass_j e1_j expm1(ds / w_j)
+  // is non-negative, so g(ds) >= a1 ds + a2 ds^2 / 2 with
+  // a1 = sum_j mass_j e1_j / w_j and a2 = sum_j mass_j e1_j / w_j^2. The
+  // bound's root, written without cancellation, lies at or right of g's.
+  double a1 = 0.0;
+  double a2 = 0.0;
+  for (size_t j = 0; j < act_w_.size(); ++j) {
+    const double c = act_mass_[j] * act_e1_[j] * act_iw_[j];
+    a1 += c;
+    a2 += c * act_iw_[j];
+  }
+  return 2.0 * need / (a1 + std::sqrt(a1 * a1 + 2.0 * a2 * need));
+}
+
+void FractionalMlp::AdvanceClock(double ds, double to) {
+  // The meters advance by w * mass * d / lp * d and e1 += d folds the
+  // clock advance into the SoA, from the increments the last gain
+  // evaluation wrote. That evaluation used this ds unless the solve
+  // returned a clock it evaluated earlier (bisection's upper end); only
+  // then are the increments computed again.
+  if (d_key_ != std::bit_cast<uint64_t>(ds)) SegmentGain(ds, nullptr);
   const kernels::AccrueDelta delta = kernels::AccrueAdvanceBatch(
-      act_w_.data(), act_mass_.data(), act_lp_.data(), act_e1_.data(),
-      act_mass_.size(), s2 - clock_);
+      act_w_.data(), act_mass_.data(), act_lp_.data(), act_d_.data(),
+      act_e1_.data(), act_w_.size());
+  d_key_ = kNoIncrements;  // they describe the old e1
   movement_cost_ += delta.movement;
   lp_cost_ += delta.lp;
-  // clock_ still holds the segment's start here, so the exact refresh must
-  // target the new clock explicitly.
-  if (++accrue_count_ % kE1RefreshInterval == 0) RefreshE1(s2);
+  clock_ = to;
+  if (++accrue_count_ % kE1RefreshInterval == 0) RefreshE1();
 }
 
 void FractionalMlp::ProcessEvent(PageId p) {
@@ -597,28 +641,33 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
       RebaseGroupsTo(ev.s);
 
       // Within the segment no caps bind, so the total gain over the active
-      // set is a sum of one exponential per weight group — a single fused
-      // 4-wide kernel pass over the persistent SoA arrays: the per-group
-      // e^{(clock - base_s)/w} factor is already live in act_e1_, so every
-      // Newton iteration pays one lane-parallel expm1 per four groups over
-      // contiguous memory. (The kernel's expm1 keeps the exponential
-      // difference accurate when the advance is a tiny fraction of w; the
-      // direct e2 - e1 would cancel catastrophically and the error is
-      // amplified by w in the cost meters.)
-      auto gain_and_rate = [&](double s, double* rate) {
-        const kernels::GainRate gr = kernels::GainRateBatch(
-            act_w_.data(), act_mass_.data(), act_e1_.data(),
-            act_mass_.size(), s - clock_);
-        if (rate != nullptr) *rate = gr.rate;
-        return gr.gain;
+      // set is a sum of one exponential per weight group (SegmentGain),
+      // solved in segment-relative time ds = s - clock_: an absolute clock
+      // up to kClockRenormThreshold would quantize Newton's iterates to
+      // ulp(clock_) and let rounding push them below the root.
+      const auto gain_and_rate = [this](double ds, double* rate) {
+        return SegmentGain(ds, rate);
       };
-      double rate_ev = 0.0;
-      const double gain_ev = gain_and_rate(ev.s, &rate_ev);
-      if (gain_ev >= need - kEps) {
+      const double ds_ev = ev.s - clock_;
+      // Newton from the right starts at the root of g's Taylor bound when
+      // that lies inside the segment and meets the need there; otherwise
+      // at the event horizon, which also decides whether the segment ends
+      // before the cache fits.
+      const double ds_q = TaylorStart(need);
+      double rate_hi = 0.0;
+      double g_hi = 0.0;
+      bool taylor_start = false;
+      if (ds_q < ds_ev) {
+        g_hi = SegmentGain(ds_q, &rate_hi);
+        taylor_start = g_hi >= need;
+      }
+      if (!taylor_start) g_hi = SegmentGain(ds_ev, &rate_hi);
+      if (taylor_start || g_hi >= need - kEps) {
         // Stopping clock inside this segment.
         StoppingClockStats sc_stats;
-        const double s_apply = SolveStoppingClock(
-            gain_and_rate, need, ev.s, gain_ev, rate_ev, &sc_stats);
+        const double ds = SolveStoppingClock(
+            gain_and_rate, need, taylor_start ? ds_q : ds_ev, g_hi, rate_hi,
+            &sc_stats);
         newton_iterations_ += sc_stats.newton_iterations;
         if (sc_stats.used_bisection) ++bisection_fallbacks_;
         if constexpr (telemetry::kEnabled) {
@@ -631,12 +680,10 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
             bisect.Inc();
           }
         }
-        AccrueCostsTo(s_apply);
-        clock_ = s_apply;
+        AdvanceClock(ds, clock_ + ds);
         break;
       }
-      AccrueCostsTo(ev.s);
-      clock_ = ev.s;
+      AdvanceClock(ds_ev, ev.s);
       heap_.pop();
       ProcessEvent(ev.page);
       need = target - TotalAbsentMass();

@@ -2,11 +2,15 @@
 //
 // Within one eviction segment no event cap binds, so the total mass gain
 // g(s) is smooth, increasing, and convex in the shared clock s, and the
-// stopping clock is the root of g(s) = need. Newton from the right
-// (starting at the segment's event horizon, where g >= need) produces a
-// monotonically decreasing iterate sequence that never undershoots the
-// root: for convex g the tangent lies below the curve, so every iterate
-// keeps g(s) >= need and the cache constraint holds at every intermediate
+// stopping clock is the root of g(s) = need. Callers pass s in
+// segment-relative time — the raise since the segment started, so
+// g(0) = 0 — which keeps the iterates' resolution that of the raise, not
+// of an absolute clock that may be far from 0. Newton from the right
+// (starting at any s_hi with g(s_hi) >= need: the segment's event
+// horizon, or a closer upper bound on the root) produces a monotonically
+// decreasing iterate sequence that never undershoots the root: for
+// convex g the tangent lies below the curve, so every iterate keeps
+// g(s) >= need and the cache constraint holds at every intermediate
 // step.
 //
 // An iterate whose next step rounds to no movement is accepted outright:
@@ -35,9 +39,10 @@ struct StoppingClockStats {
 };
 
 // Solves g(s) = need for s in (0, s_hi], where g is increasing and convex
-// with g(0) = 0 and g(s_hi) >= need (up to tolerance). `g_and_rate(s,
-// &rate)` must return g(s) and write g'(s) > 0 into rate. `g_hi` /
-// `rate_hi` are the caller's already-computed values at s_hi. The returned
+// with g(0) = 0 (s is segment-relative) and g(s_hi) >= need (up to
+// tolerance). `g_and_rate(s, &rate)` must return g(s) and write
+// g'(s) > 0 into rate. `g_hi` / `rate_hi` are the caller's
+// already-computed values at s_hi. The returned
 // clock s satisfies g(s) >= need - tol where tol = 1e-13 * (1 + need)
 // (never undershoots), found by Newton from the right or — if 50 Newton
 // iterations fail to converge — by bisection on [0, s].

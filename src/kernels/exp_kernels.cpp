@@ -1,7 +1,8 @@
 // Exponential-family batch kernels for the fractional solver's hot
 // loops: vectorized expm1/exp, the stopping-clock Newton evaluation
-// (gain + rate over the active weight groups), the fused cost-accrual /
-// lazy-offset advance, and the absent-mass total. The out-of-line
+// (gain + rate over the active weight groups, writing each group's
+// increment), the cost accrual / lazy-offset advance from those
+// increments, and the absent-mass total. The out-of-line
 // bodies here (*Batch for the array kernels, *BatchLarge for the
 // group-aggregate kernels whose small-m path is inline in kernels.h)
 // dispatch to the configure-time SIMD backend; the *BatchScalar twins
@@ -73,68 +74,62 @@ inline void PadTail(const double* src, size_t count, double fill,
 
 template <class V>
 GainRate GainRateImpl(const double* w, const double* mass,
-                      const double* e1, size_t m, double ds) {
+                      const double* e1, size_t m, double ds, double* d) {
   using R = typename V::Reg;
   const R vds = V::Set1(ds);
   R gacc = V::Set1(0.0);
   R racc = V::Set1(0.0);
+  // Accumulates one block and returns its increments.
+  const auto block = [&](R vw, R vm, R ve) {
+    const R vd = V::Mul(ve, detail::Expm1Block<V>(V::Div(vds, vw)));
+    gacc = V::Add(gacc, V::Mul(vm, vd));
+    racc = V::Add(racc, V::Div(V::Mul(vm, V::Add(ve, vd)), vw));
+    return vd;
+  };
   size_t j = 0;
   for (; j + 4 <= m; j += 4) {
-    const R vw = V::Load(w + j);
-    const R vm = V::Load(mass + j);
-    const R ve = V::Load(e1 + j);
-    const R d = V::Mul(ve, detail::Expm1Lanes<V>(V::Div(vds, vw)));
-    gacc = V::Add(gacc, V::Mul(vm, d));
-    racc = V::Add(racc, V::Div(V::Mul(vm, V::Add(ve, d)), vw));
+    V::Store(d + j,
+             block(V::Load(w + j), V::Load(mass + j), V::Load(e1 + j)));
   }
   if (j < m) {
-    double pw[4], pm[4], pe[4];
+    double pw[4], pm[4], pe[4], pd[4];
     PadTail(w + j, m - j, 1.0, pw);
     PadTail(mass + j, m - j, 0.0, pm);
     PadTail(e1 + j, m - j, 0.0, pe);
-    const R vw = V::Load(pw);
-    const R vm = V::Load(pm);
-    const R ve = V::Load(pe);
-    const R d = V::Mul(ve, detail::Expm1Lanes<V>(V::Div(vds, vw)));
-    gacc = V::Add(gacc, V::Mul(vm, d));
-    racc = V::Add(racc, V::Div(V::Mul(vm, V::Add(ve, d)), vw));
+    V::Store(pd, block(V::Load(pw), V::Load(pm), V::Load(pe)));
+    for (size_t l = j; l < m; ++l) d[l] = pd[l - j];
   }
   return GainRate{V::ReduceAdd(gacc), V::ReduceAdd(racc)};
 }
 
 template <class V>
 AccrueDelta AccrueAdvanceImpl(const double* w, const double* mass,
-                              const double* lp, double* e1, size_t m,
-                              double ds) {
+                              const double* lp, const double* d, double* e1,
+                              size_t m) {
   using R = typename V::Reg;
-  const R vds = V::Set1(ds);
   R movacc = V::Set1(0.0);
   R lpacc = V::Set1(0.0);
+  // Accumulates one block and returns its advanced e1.
+  const auto block = [&](R vw, R vm, R vl, R vd, R ve) {
+    movacc = V::Add(movacc, V::Mul(V::Mul(vw, vm), vd));
+    lpacc = V::Add(lpacc, V::Mul(vl, vd));
+    return V::Add(ve, vd);
+  };
   size_t j = 0;
   for (; j + 4 <= m; j += 4) {
-    const R vw = V::Load(w + j);
-    const R vm = V::Load(mass + j);
-    const R vl = V::Load(lp + j);
-    const R ve = V::Load(e1 + j);
-    const R d = V::Mul(ve, detail::Expm1Lanes<V>(V::Div(vds, vw)));
-    movacc = V::Add(movacc, V::Mul(V::Mul(vw, vm), d));
-    lpacc = V::Add(lpacc, V::Mul(vl, d));
-    V::Store(e1 + j, V::Add(ve, d));
+    V::Store(e1 + j, block(V::Load(w + j), V::Load(mass + j),
+                           V::Load(lp + j), V::Load(d + j),
+                           V::Load(e1 + j)));
   }
   if (j < m) {
-    double pw[4], pm[4], pl[4], pe[4], pout[4];
+    double pw[4], pm[4], pl[4], pd[4], pe[4], pout[4];
     PadTail(w + j, m - j, 1.0, pw);
     PadTail(mass + j, m - j, 0.0, pm);
     PadTail(lp + j, m - j, 0.0, pl);
+    PadTail(d + j, m - j, 0.0, pd);
     PadTail(e1 + j, m - j, 0.0, pe);
-    const R vw = V::Load(pw);
-    const R vm = V::Load(pm);
-    const R vl = V::Load(pl);
-    const R ve = V::Load(pe);
-    const R d = V::Mul(ve, detail::Expm1Lanes<V>(V::Div(vds, vw)));
-    movacc = V::Add(movacc, V::Mul(V::Mul(vw, vm), d));
-    lpacc = V::Add(lpacc, V::Mul(vl, d));
-    V::Store(pout, V::Add(ve, d));
+    V::Store(pout, block(V::Load(pw), V::Load(pm), V::Load(pl),
+                         V::Load(pd), V::Load(pe)));
     for (size_t l = j; l < m; ++l) e1[l] = pout[l - j];
   }
   return AccrueDelta{V::ReduceAdd(movacc), V::ReduceAdd(lpacc)};
@@ -186,27 +181,29 @@ void ExpBatch(const double* x, double* out, size_t n) {
 }
 
 GainRate GainRateBatchScalar(const double* w, const double* mass,
-                             const double* e1, size_t m, double ds) {
-  return GainRateImpl<simd::VecScalar>(w, mass, e1, m, ds);
+                             const double* e1, size_t m, double ds,
+                             double* d) {
+  return GainRateImpl<simd::VecScalar>(w, mass, e1, m, ds, d);
 }
 GainRate GainRateBatchLarge(const double* w, const double* mass,
-                            const double* e1, size_t m, double ds) {
-  if (g_force_scalar) return GainRateBatchScalar(w, mass, e1, m, ds);
-  return GainRateImpl<simd::VecNative>(w, mass, e1, m, ds);
+                            const double* e1, size_t m, double ds,
+                            double* d) {
+  if (g_force_scalar) return GainRateBatchScalar(w, mass, e1, m, ds, d);
+  return GainRateImpl<simd::VecNative>(w, mass, e1, m, ds, d);
 }
 
 AccrueDelta AccrueAdvanceBatchScalar(const double* w, const double* mass,
-                                     const double* lp, double* e1,
-                                     size_t m, double ds) {
-  return AccrueAdvanceImpl<simd::VecScalar>(w, mass, lp, e1, m, ds);
+                                     const double* lp, const double* d,
+                                     double* e1, size_t m) {
+  return AccrueAdvanceImpl<simd::VecScalar>(w, mass, lp, d, e1, m);
 }
 AccrueDelta AccrueAdvanceBatchLarge(const double* w, const double* mass,
-                                    const double* lp, double* e1,
-                                    size_t m, double ds) {
+                                    const double* lp, const double* d,
+                                    double* e1, size_t m) {
   if (g_force_scalar) {
-    return AccrueAdvanceBatchScalar(w, mass, lp, e1, m, ds);
+    return AccrueAdvanceBatchScalar(w, mass, lp, d, e1, m);
   }
-  return AccrueAdvanceImpl<simd::VecNative>(w, mass, lp, e1, m, ds);
+  return AccrueAdvanceImpl<simd::VecNative>(w, mass, lp, d, e1, m);
 }
 
 double AbsentMassBatchScalar(const double* mass, const double* e1,

@@ -12,8 +12,8 @@
 //
 // Tail discipline: array kernels process full 4-lane blocks and route
 // the final partial block through a stack pad filled with neutral
-// elements (mass = 0, lp = 0, e1 = 0, w = 1), running the identical
-// 4-lane code. Neutral lanes contribute exact ±0.0 to every
+// elements (mass = 0, lp = 0, e1 = 0, d = 0, w = 1), running the
+// identical 4-lane code. Neutral lanes contribute exact ±0.0 to every
 // accumulator, so results for length n are independent of the pad — and
 // identical between backends for every tail length.
 #pragma once
@@ -123,6 +123,23 @@ inline typename V::Reg ExpLanes(typename V::Reg x) {
   R q, scale;
   ExpCore<V>(xc, &q, &scale);
   return V::Mul(V::Add(V::Set1(1.0), q), scale);
+}
+
+// Expm1Lanes over one 4-lane block, taking Expm1One's small-|x| branch
+// per block: when every lane has |x| < kSmallThresh, the pipeline's
+// Select picks q = x + x^2 P(x) in every lane (see Expm1One for why q is
+// bitwise that tree there), so the tree alone is the result. Any lane at
+// or above the threshold, or NaN, runs the whole pipeline. The branch
+// depends only on the lane values, so every backend and the scalar twin
+// take it on the same blocks. Needs V::MoveMask: 4-lane traits only.
+template <class V>
+inline typename V::Reg Expm1Block(typename V::Reg x) {
+  using R = typename V::Reg;
+  const R ax = V::AndNot(V::Set1(-0.0), x);
+  if (V::MoveMask(V::CmpLt(ax, V::Set1(kSmallThresh))) == 0xF) {
+    return V::Add(x, V::Mul(V::Mul(x, x), PolyP<V>(x)));
+  }
+  return Expm1Lanes<V>(x);
 }
 
 // One lane of the expm1 pipeline: bit-identical to what any 4-lane

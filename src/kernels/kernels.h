@@ -18,17 +18,22 @@
 //     which is how the lockstep tests prove whole-policy bitwise
 //     equality in one binary.
 //
+// Group-aggregate kernels: the fractional solver's only expm1 pass per
+// stopping-clock evaluation is GainRateBatch, which also writes each
+// group's increment; AccrueAdvanceBatch then advances the cost meters
+// and e1 from those increments with no exponential of its own.
+//
 // Small-batch dispatch: the three group-aggregate kernels are called
 // with m = #distinct cursor weights, which is tiny (<= ell, typically
-// 2–4) whenever level weights are device properties — the common case
-// and the whole bench matrix. At that size the out-of-line call plus
-// pad-block staging costs more than the math, so the *Batch entry
-// points are inline here: for m <= 4 they run the identical lane
-// pipeline per element via simd::VecLane1 (bit-equal to the padded
-// 4-lane block by construction — pad lanes contribute exact +0.0) and
-// reduce in the fixed (l0 + l2) + (l1 + l3) order; larger m goes to the
-// out-of-line *BatchLarge SIMD body. The lockstep tests cover m on both
-// sides of the threshold.
+// 2–4) whenever level weights are device properties. At that size the
+// out-of-line call plus pad-block staging costs more than the math, so
+// the *Batch entry points are inline here: for m <= 4 they run the
+// identical lane pipeline per element via simd::VecLane1 (bit-equal to
+// the padded 4-lane block by construction — pad lanes contribute exact
+// +0.0) and reduce in the fixed (l0 + l2) + (l1 + l3) order; larger m —
+// per-page weights, one group per weight class under the randomized
+// policy — goes to the out-of-line *BatchLarge SIMD body. The lockstep
+// tests cover m on both sides of the threshold.
 //
 // The vector exp/expm1 use a shared degree-13 polynomial after
 // Cody–Waite range reduction (see kernel_impl.h). Accuracy is a few ulp
@@ -96,17 +101,24 @@ void ExpBatchScalar(const double* x, double* out, size_t n);
 // synced to. Per group j, with d_j = e1[j] * expm1(ds / w[j]):
 //   gain += mass[j] * d_j
 //   rate += mass[j] * (e1[j] + d_j) / w[j]
-// Reductions run in the fixed 4-lane order of simd.h (§13).
+//   d[j]  = d_j     (the increments AccrueAdvanceBatch consumes)
+// Reductions run in the fixed 4-lane order of simd.h (§13). A block
+// whose four arguments ds / w all lie below kSmallThresh returns expm1's
+// polynomial directly (Expm1Block in kernel_impl.h), as Expm1One does
+// per lane.
 struct GainRate {
   double gain;
   double rate;
 };
 GainRate GainRateBatchLarge(const double* w, const double* mass,
-                            const double* e1, size_t m, double ds);
+                            const double* e1, size_t m, double ds,
+                            double* d);
 GainRate GainRateBatchScalar(const double* w, const double* mass,
-                             const double* e1, size_t m, double ds);
+                             const double* e1, size_t m, double ds,
+                             double* d);
 inline GainRate GainRateBatch(const double* w, const double* mass,
-                              const double* e1, size_t m, double ds) {
+                              const double* e1, size_t m, double ds,
+                              double* d) {
   if (m <= 4 && !detail::g_force_scalar) {
     // One padded 4-lane block, lane by lane, kept in register scalars
     // (an indexed double[4] forces stack stores the caller then reloads
@@ -118,9 +130,10 @@ inline GainRate GainRateBatch(const double* w, const double* mass,
     double g0 = 0.0, g1 = 0.0, g2 = 0.0, g3 = 0.0;
     double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0;
     const auto lane = [&](size_t j, double& g, double& r) {
-      const double d = e1[j] * detail::Expm1One(ds / w[j]);
-      g = 0.0 + mass[j] * d;
-      r = 0.0 + (mass[j] * (e1[j] + d)) / w[j];
+      const double dj = e1[j] * detail::Expm1One(ds / w[j]);
+      d[j] = dj;
+      g = 0.0 + mass[j] * dj;
+      r = 0.0 + (mass[j] * (e1[j] + dj)) / w[j];
     };
     if (m > 0) lane(0, g0, r0);
     if (m > 1) lane(1, g1, r1);
@@ -128,35 +141,36 @@ inline GainRate GainRateBatch(const double* w, const double* mass,
     if (m > 3) lane(3, g3, r3);
     return GainRate{(g0 + g2) + (g1 + g3), (r0 + r2) + (r1 + r3)};
   }
-  return GainRateBatchLarge(w, mass, e1, m, ds);
+  return GainRateBatchLarge(w, mass, e1, m, ds, d);
 }
 
-// Cost-meter advance for a clock move of `ds`, fused with the lazy
-// exponential update: per group j, d_j = e1[j] * expm1(ds / w[j]),
-//   movement += w[j] * mass[j] * d_j
-//   lp       += lp[j] * d_j
-//   e1[j]    += d_j        (in place: e1 now reflects the new clock)
+// Cost-meter advance for a clock move whose per-group increments
+// d[j] = e1[j] * expm1(ds / w[j]) GainRateBatch wrote for that ds; no
+// exponential is evaluated here:
+//   movement += w[j] * mass[j] * d[j]
+//   lp       += lp[j] * d[j]
+//   e1[j]    += d[j]       (in place: e1 now reflects the new clock)
+// Bit-identical to evaluating the increments in the same pass.
 struct AccrueDelta {
   double movement;
   double lp;
 };
 AccrueDelta AccrueAdvanceBatchLarge(const double* w, const double* mass,
-                                    const double* lp, double* e1,
-                                    size_t m, double ds);
+                                    const double* lp, const double* d,
+                                    double* e1, size_t m);
 AccrueDelta AccrueAdvanceBatchScalar(const double* w, const double* mass,
-                                     const double* lp, double* e1,
-                                     size_t m, double ds);
+                                     const double* lp, const double* d,
+                                     double* e1, size_t m);
 inline AccrueDelta AccrueAdvanceBatch(const double* w, const double* mass,
-                                      const double* lp, double* e1,
-                                      size_t m, double ds) {
+                                      const double* lp, const double* d,
+                                      double* e1, size_t m) {
   if (m <= 4 && !detail::g_force_scalar) {
     double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
     double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
     const auto lane = [&](size_t j, double& mo, double& lo) {
-      const double d = e1[j] * detail::Expm1One(ds / w[j]);
-      mo = 0.0 + (w[j] * mass[j]) * d;
-      lo = 0.0 + lp[j] * d;
-      e1[j] = e1[j] + d;
+      mo = 0.0 + (w[j] * mass[j]) * d[j];
+      lo = 0.0 + lp[j] * d[j];
+      e1[j] = e1[j] + d[j];
     };
     if (m > 0) lane(0, m0, l0);
     if (m > 1) lane(1, m1, l1);
@@ -164,7 +178,7 @@ inline AccrueDelta AccrueAdvanceBatch(const double* w, const double* mass,
     if (m > 3) lane(3, m3, l3);
     return AccrueDelta{(m0 + m2) + (m1 + m3), (l0 + l2) + (l1 + l3)};
   }
-  return AccrueAdvanceBatchLarge(w, mass, lp, e1, m, ds);
+  return AccrueAdvanceBatchLarge(w, mass, lp, d, e1, m);
 }
 
 // Total absent mass over the active groups:

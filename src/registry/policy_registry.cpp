@@ -1,8 +1,6 @@
 #include "registry/policy_registry.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 
 #include "baselines/clock.h"
@@ -18,6 +16,7 @@
 #include "core/waterfill.h"
 #include "predict/predictive_policy.h"
 #include "predict/unknown_weights.h"
+#include "util/flags.h"
 
 namespace wmlp {
 
@@ -53,18 +52,6 @@ bool ParseSpec(const std::string& name, const std::string& base,
   return true;
 }
 
-// A spec number is the whole of `raw` and finite. strtod would skip
-// leading whitespace and stop at an embedded NUL; a strict value has
-// neither.
-bool ParseSpecNumber(const std::string& raw, double* value) {
-  if (raw.empty() || std::isspace(static_cast<unsigned char>(raw[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  *value = std::strtod(raw.c_str(), &end);
-  return end == raw.c_str() + raw.size() && std::isfinite(*value);
-}
-
 bool SetRandomizedParam(const std::string& key, const std::string& raw,
                         RandomizedOptions* options) {
   if (key == "engine") {
@@ -80,7 +67,7 @@ bool SetRandomizedParam(const std::string& key, const std::string& raw,
     return true;
   }
   double value = 0.0;
-  if (!ParseSpecNumber(raw, &value)) return false;
+  if (!cli::ParseNumber(raw, &value)) return false;
   if (key == "beta") {
     if (value < 0.0) return false;
     options->beta = value;
@@ -103,7 +90,7 @@ bool SetPredictiveParam(const std::string& key, const std::string& raw,
                         predict::PredictiveOptions* options) {
   if (key == "noise") return predict::ParseNoiseKind(raw, &options->noise);
   double value = 0.0;
-  if (!ParseSpecNumber(raw, &value)) return false;
+  if (!cli::ParseNumber(raw, &value)) return false;
   if (key == "lambda") {
     options->lambda = value;
   } else if (key == "alpha") {

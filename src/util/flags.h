@@ -7,8 +7,9 @@
 // strictly and exit 1 naming the flag: "--trials 1O" is an error, not 0.
 #pragma once
 
-#include <cerrno>
+#include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -21,6 +22,20 @@ namespace wmlp::cli {
 [[noreturn]] inline void Die(const std::string& message, int code = 1) {
   std::cerr << "error: " << message << "\n";
   std::exit(code);
+}
+
+// The number rule of every double read from a command line or a policy
+// spec — a flag's value, a spec value, wmlp_tracegen's --mix rw:<x>: the
+// whole token is one finite number. strtod alone would skip leading
+// whitespace, stop at trailing junk ("0.3xyz") or an embedded NUL, and
+// accept "nan" and "inf" (an overflow reads as inf).
+inline bool ParseNumber(const std::string& text, double* value) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size() && std::isfinite(*value);
 }
 
 struct FlagSpec {
@@ -83,10 +98,8 @@ class Flags {
   double GetDouble(const std::string& name, double def) const {
     const std::string* text = Value(name);
     if (text == nullptr) return def;
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text->c_str(), &end);
-    if (errno != 0 || end != text->c_str() + text->size() || text->empty()) {
+    double value = 0.0;
+    if (!ParseNumber(*text, &value)) {
       Die("--" + name + " expects a number, got '" + *text + "'");
     }
     return value;

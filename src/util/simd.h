@@ -141,14 +141,17 @@ struct VecScalar {
   }
 
   // 2^k for an integral-valued k in [-1022, 1023]: exponent-field
-  // construction, exact on every backend.
+  // construction, exact on every backend. A NaN k (exp of a NaN, whose
+  // lane is NaN whatever the scale) gives 2^0, as every vector backend's
+  // conversion does; casting it to an integer would be undefined.
   static Reg Pow2I(Reg k) {
     Reg r;
-    for (int i = 0; i < 4; ++i) {
-      r.v[i] = std::bit_cast<double>(
-          static_cast<uint64_t>(static_cast<int64_t>(k.v[i]) + 1023) << 52);
-    }
+    for (int i = 0; i < 4; ++i) r.v[i] = Pow2IOne(k.v[i]);
     return r;
+  }
+  static double Pow2IOne(double k) {
+    const int64_t ki = k < 2048.0 ? static_cast<int64_t>(k) : 0;
+    return std::bit_cast<double>(static_cast<uint64_t>(ki + 1023) << 52);
   }
 
   // Sign-bit mask of the four lanes, lane 0 in bit 0 (movmskpd layout).
@@ -209,11 +212,8 @@ struct VecLane1 {
     return Or(And(mask, a), AndNot(mask, b));
   }
 
-  // 2^k for an integral-valued k in [-1022, 1023].
-  static Reg Pow2I(Reg k) {
-    return std::bit_cast<double>(
-        static_cast<uint64_t>(static_cast<int64_t>(k) + 1023) << 52);
-  }
+  // 2^k for an integral-valued k in [-1022, 1023] (NaN: 2^0).
+  static Reg Pow2I(Reg k) { return VecScalar::Pow2IOne(k); }
 };
 
 #if defined(WMLP_SIMD_AVX2)

@@ -15,6 +15,7 @@
 #include "core/fractional.h"
 #include "core/fractional_reference.h"
 #include "core/stopping_clock.h"
+#include "core/weight_classes.h"
 #include "trace/generators.h"
 #include "util/rng.h"
 
@@ -227,6 +228,47 @@ TEST(FractionalFast, OutputSensitiveCountersAdvance) {
   EXPECT_GT(fast.events_processed(), 0);
   // Shared geometric level weights: one group per level, not per page.
   EXPECT_LE(fast.num_weight_groups(), 2);
+}
+
+// The stopping-clock solve on the randomized policy's two steady-state
+// workload shapes (n = 4096, k = 256, ell = 2, Zipf(0.8), uniform level
+// mix, 20,000 requests; seeded like the serve benchmark's seed 1), with
+// the solver attached through ClassCeilingInstance as the policy attaches
+// it. Solving each segment in its own time keeps Newton's iterates off
+// the rounding grid of an absolute clock, so no solve falls back to
+// bisection; starting Newton at the Taylor bound's root leaves about two
+// iterations per request. Solved on the absolute clock from the event
+// horizon, the levels trace made 2,429 fallbacks and both traces over
+// 3.2 iterations per request.
+void ExpectCheapStoppingClockSolves(WeightModel model, double ratio,
+                                    const std::string& label) {
+  constexpr int32_t n = 4096;
+  constexpr int64_t requests = 20'000;
+  Instance inst(n, 256, 2, MakeWeights(n, 2, model, ratio, DeriveSeed(1, 1)));
+  const Trace trace = GenZipf(std::move(inst), requests, 0.8,
+                              LevelMix::UniformMix(2), DeriveSeed(1, 2));
+  const ClassCeilingInstance stack(trace.instance);
+  FractionalMlp frac;
+  frac.Attach(stack.get());
+  for (Time t = 0; t < trace.length(); ++t) {
+    frac.Serve(t, trace.requests[static_cast<size_t>(t)]);
+  }
+  const double per_request = 1.0 / static_cast<double>(requests);
+  EXPECT_EQ(frac.bisection_fallbacks(), 0) << label;
+  EXPECT_LE(static_cast<double>(frac.newton_iterations()) * per_request, 2.5)
+      << label;
+  EXPECT_LE(static_cast<double>(frac.gain_evaluations()) * per_request, 4.0)
+      << label;
+  EXPECT_GT(frac.segments_solved(), requests / 2) << label;
+}
+
+TEST(FractionalFast, StoppingClockSolvesStayCheapOnLevelWeights) {
+  ExpectCheapStoppingClockSolves(WeightModel::kGeometricLevels, 4.0,
+                                 "geometric levels");
+}
+
+TEST(FractionalFast, StoppingClockSolvesStayCheapOnPerPageWeights) {
+  ExpectCheapStoppingClockSolves(WeightModel::kZipfPages, 64.0, "zipf pages");
 }
 
 // ---- SolveStoppingClock unit tests -------------------------------------

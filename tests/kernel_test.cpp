@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "kernels/kernel_impl.h"
 #include "kernels/kernels.h"
 #include "registry/policy_registry.h"
 #include "trace/generators.h"
@@ -154,26 +155,38 @@ TEST(KernelLockstep, GainRateAllTailLengths) {
   for (size_t m = 0; m <= 17; ++m) {
     for (const double ds : {0.0, 1e-9, 0.01, 0.5, 3.0, 7.5}) {
       const GroupFixture f = MakeGroups(m, m + 1);
-      const GainRate a = kernels::GainRateBatch(f.w.data(), f.mass.data(),
-                                                f.e1.data(), m, ds);
+      std::vector<double> d_simd(m, 42.0);
+      std::vector<double> d_ref(m, 43.0);
+      const GainRate a = kernels::GainRateBatch(
+          f.w.data(), f.mass.data(), f.e1.data(), m, ds, d_simd.data());
       const GainRate b = kernels::GainRateBatchScalar(
-          f.w.data(), f.mass.data(), f.e1.data(), m, ds);
+          f.w.data(), f.mass.data(), f.e1.data(), m, ds, d_ref.data());
       ExpectBitEq(a.gain, b.gain, "gain m=" + std::to_string(m));
       ExpectBitEq(a.rate, b.rate, "rate m=" + std::to_string(m));
+      for (size_t j = 0; j < m; ++j) {
+        ExpectBitEq(d_simd[j], d_ref[j],
+                    "d[" + std::to_string(j) + "] m=" + std::to_string(m));
+      }
     }
   }
 }
 
+// The accrual consumes the increments the gain evaluation wrote at the
+// same ds, exactly as the solver chains them.
 TEST(KernelLockstep, AccrueAdvanceAllTailLengths) {
   for (size_t m = 0; m <= 17; ++m) {
     for (const double ds : {0.0, 1e-9, 0.25, 2.0}) {
       const GroupFixture f = MakeGroups(m, 3 * m + 7);
+      std::vector<double> d(m);
+      kernels::GainRateBatchScalar(f.w.data(), f.mass.data(), f.e1.data(), m,
+                                   ds, d.data());
       std::vector<double> e1_simd = f.e1;
       std::vector<double> e1_ref = f.e1;
       const AccrueDelta a = kernels::AccrueAdvanceBatch(
-          f.w.data(), f.mass.data(), f.lp.data(), e1_simd.data(), m, ds);
+          f.w.data(), f.mass.data(), f.lp.data(), d.data(), e1_simd.data(),
+          m);
       const AccrueDelta b = kernels::AccrueAdvanceBatchScalar(
-          f.w.data(), f.mass.data(), f.lp.data(), e1_ref.data(), m, ds);
+          f.w.data(), f.mass.data(), f.lp.data(), d.data(), e1_ref.data(), m);
       ExpectBitEq(a.movement, b.movement, "movement m=" + std::to_string(m));
       ExpectBitEq(a.lp, b.lp, "lp m=" + std::to_string(m));
       for (size_t j = 0; j < m; ++j) {
@@ -192,18 +205,25 @@ TEST(KernelLockstep, LargeBodyCoversSmallM) {
   for (size_t m = 0; m <= 4; ++m) {
     for (const double ds : {0.0, 0.01, 2.5}) {
       const GroupFixture f = MakeGroups(m, 5 * m + 2);
+      std::vector<double> d_simd(m, 42.0);
+      std::vector<double> d_ref(m, 43.0);
       const GainRate a = kernels::GainRateBatchLarge(
-          f.w.data(), f.mass.data(), f.e1.data(), m, ds);
+          f.w.data(), f.mass.data(), f.e1.data(), m, ds, d_simd.data());
       const GainRate b = kernels::GainRateBatchScalar(
-          f.w.data(), f.mass.data(), f.e1.data(), m, ds);
+          f.w.data(), f.mass.data(), f.e1.data(), m, ds, d_ref.data());
       ExpectBitEq(a.gain, b.gain, "large gain m=" + std::to_string(m));
       ExpectBitEq(a.rate, b.rate, "large rate m=" + std::to_string(m));
+      for (size_t j = 0; j < m; ++j) {
+        ExpectBitEq(d_simd[j], d_ref[j], "large d[" + std::to_string(j) + "]");
+      }
       std::vector<double> e1_simd = f.e1;
       std::vector<double> e1_ref = f.e1;
       const AccrueDelta c = kernels::AccrueAdvanceBatchLarge(
-          f.w.data(), f.mass.data(), f.lp.data(), e1_simd.data(), m, ds);
+          f.w.data(), f.mass.data(), f.lp.data(), d_ref.data(),
+          e1_simd.data(), m);
       const AccrueDelta d = kernels::AccrueAdvanceBatchScalar(
-          f.w.data(), f.mass.data(), f.lp.data(), e1_ref.data(), m, ds);
+          f.w.data(), f.mass.data(), f.lp.data(), d_ref.data(),
+          e1_ref.data(), m);
       ExpectBitEq(c.movement, d.movement,
                   "large movement m=" + std::to_string(m));
       ExpectBitEq(c.lp, d.lp, "large lp m=" + std::to_string(m));
@@ -216,6 +236,180 @@ TEST(KernelLockstep, LargeBodyCoversSmallM) {
       const double g = kernels::AbsentMassBatchScalar(
           f.mass.data(), f.e1.data(), f.lp.data(), m, 0.25);
       ExpectBitEq(e, g, "large absent mass m=" + std::to_string(m));
+    }
+  }
+}
+
+// The increments every gain-rate entry point writes, and the accrual from
+// them, against the formula the accrual used to evaluate itself: per
+// group d = e1 * expm1(ds / w) with expm1 from Expm1BatchScalar, meters
+// summed per lane j % 4 and reduced in the fixed (l0 + l2) + (l1 + l3)
+// order, e1 advanced by d.
+TEST(KernelLockstep, IncrementsMatchTheFusedAccrual) {
+  for (size_t m = 0; m <= 17; ++m) {
+    for (const double ds : {0.0, 1e-9, 0.01, 0.25, 2.0, 7.5}) {
+      const GroupFixture f = MakeGroups(m, 7 * m + 3);
+      std::vector<double> x(m);
+      std::vector<double> em1(m);
+      for (size_t j = 0; j < m; ++j) x[j] = ds / f.w[j];
+      kernels::Expm1BatchScalar(x.data(), em1.data(), m);
+      std::vector<double> want_d(m);
+      std::vector<double> want_e1(m);
+      double mov[4] = {0.0, 0.0, 0.0, 0.0};
+      double lpl[4] = {0.0, 0.0, 0.0, 0.0};
+      for (size_t j = 0; j < m; ++j) {
+        want_d[j] = f.e1[j] * em1[j];
+        want_e1[j] = f.e1[j] + want_d[j];
+        mov[j % 4] = mov[j % 4] + (f.w[j] * f.mass[j]) * want_d[j];
+        lpl[j % 4] = lpl[j % 4] + f.lp[j] * want_d[j];
+      }
+      const double want_mov = (mov[0] + mov[2]) + (mov[1] + mov[3]);
+      const double want_lp = (lpl[0] + lpl[2]) + (lpl[1] + lpl[3]);
+
+      using GainFn = GainRate (*)(const double*, const double*,
+                                  const double*, size_t, double, double*);
+      using AccrueFn = AccrueDelta (*)(const double*, const double*,
+                                       const double*, const double*,
+                                       double*, size_t);
+      const std::pair<const char*, GainFn> gains[] = {
+          {"GainRateBatch", kernels::GainRateBatch},
+          {"GainRateBatchLarge", kernels::GainRateBatchLarge},
+          {"GainRateBatchScalar", kernels::GainRateBatchScalar}};
+      const std::pair<const char*, AccrueFn> accruals[] = {
+          {"AccrueAdvanceBatch", kernels::AccrueAdvanceBatch},
+          {"AccrueAdvanceBatchLarge", kernels::AccrueAdvanceBatchLarge},
+          {"AccrueAdvanceBatchScalar", kernels::AccrueAdvanceBatchScalar}};
+      for (const auto& [gain_name, gain] : gains) {
+        const std::string at = std::string(gain_name) + " m=" +
+                               std::to_string(m) + " ds=" +
+                               std::to_string(ds);
+        std::vector<double> d(m, 42.0);
+        gain(f.w.data(), f.mass.data(), f.e1.data(), m, ds, d.data());
+        for (size_t j = 0; j < m; ++j) {
+          ExpectBitEq(d[j], want_d[j], "d[" + std::to_string(j) + "] " + at);
+        }
+        for (const auto& [accrue_name, accrue] : accruals) {
+          const std::string by = at + " " + accrue_name;
+          std::vector<double> e1 = f.e1;
+          const AccrueDelta got = accrue(f.w.data(), f.mass.data(),
+                                         f.lp.data(), d.data(), e1.data(), m);
+          ExpectBitEq(got.movement, want_mov, "movement " + by);
+          ExpectBitEq(got.lp, want_lp, "lp " + by);
+          for (size_t j = 0; j < m; ++j) {
+            ExpectBitEq(e1[j], want_e1[j],
+                        "e1[" + std::to_string(j) + "] " + by);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Lane arguments around the block fast path: every |x| below
+// kSmallThresh, the threshold itself and its nextafter neighbours, ±0,
+// denormals, NaN, and ordinary full-path values.
+std::vector<double> BlockPathArgs() {
+  const double t = kernels::detail::kSmallThresh;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {t,
+          -t,
+          std::nextafter(t, 0.0),
+          std::nextafter(-t, 0.0),
+          std::nextafter(t, 1.0),
+          std::nextafter(-t, -1.0),
+          0.0,
+          -0.0,
+          5e-324,
+          -5e-324,
+          1e-310,
+          0.1,
+          -0.2,
+          0.33,
+          0.5,
+          -3.0,
+          nan,
+          -nan};
+}
+
+// Expm1Block's per-block shortcut is Expm1Lanes' own value: drive every
+// ordered 4-lane block over the argument set above, so blocks wholly
+// below the threshold, blocks straddling it and blocks holding a NaN all
+// occur, through the scalar twin and this TU's native backend (the kernel
+// TU's own backend is covered through GainRateBatchLarge below).
+TEST(KernelLockstep, Expm1BlockMatchesTheLanePipeline) {
+  using simd::VecNative;
+  using simd::VecScalar;
+  const std::vector<double> args = BlockPathArgs();
+  const size_t k = args.size();
+  size_t fast_blocks = 0;
+  for (size_t a = 0; a < k; ++a) {
+    for (size_t b = 0; b < k; ++b) {
+      const double lanes[4] = {args[a], args[b], args[(a + b) % k],
+                               args[(a * 7 + b * 3 + 1) % k]};
+      bool below = true;
+      for (const double v : lanes) {
+        below &= std::abs(v) < kernels::detail::kSmallThresh;
+      }
+      fast_blocks += below ? 1 : 0;
+      double block[4], pipeline[4], native[4];
+      VecScalar::Store(block, kernels::detail::Expm1Block<VecScalar>(
+                                  VecScalar::Load(lanes)));
+      VecScalar::Store(pipeline, kernels::detail::Expm1Lanes<VecScalar>(
+                                     VecScalar::Load(lanes)));
+      VecNative::Store(native, kernels::detail::Expm1Block<VecNative>(
+                                   VecNative::Load(lanes)));
+      for (int l = 0; l < 4; ++l) {
+        const std::string at = "lane " + std::to_string(l) + " x=" +
+                               std::to_string(lanes[l]);
+        ExpectBitEq(block[l], pipeline[l], "block vs pipeline " + at);
+        ExpectBitEq(native[l], block[l], "native vs scalar " + at);
+      }
+    }
+  }
+  EXPECT_GT(fast_blocks, 0u);
+}
+
+// The same inputs through the gain-rate entry points: a shared ds over
+// per-lane weights puts whole blocks below the threshold (w >= 2), at it
+// (w = 1, ds = ±kSmallThresh), next to it (ds one ulp either side) and on
+// both sides of it within one block, plus ±0, denormal and NaN advances.
+TEST(KernelLockstep, GainRateBlockPathLockstep) {
+  const double t = kernels::detail::kSmallThresh;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> advances = {
+      t, -t, std::nextafter(t, 0.0), std::nextafter(t, 1.0),
+      std::nextafter(-t, 0.0), std::nextafter(-t, -1.0), 0.0, -0.0,
+      5e-324, 1e-310, 0.2, 0.6, nan};
+  const std::vector<std::vector<double>> weight_rows = {
+      {2.0, 4.0, 8.0, 16.0, 2.0, 4.0, 8.0, 16.0, 32.0},
+      {1.0, 2.0, 4.0, 8.0, 1.0, 1.0, 1.0, 1.0, 1.0},
+      {0.5, 2.0, 1.0, 4.0, 3.0, 1e12, 1.0, 0.75, 2.0},
+      {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}};
+  for (const std::vector<double>& ws : weight_rows) {
+    for (size_t m = 0; m <= ws.size(); ++m) {
+      GroupFixture f = MakeGroups(m, 13 * m + 1);
+      f.w.assign(ws.begin(), ws.begin() + static_cast<ptrdiff_t>(m));
+      for (const double ds : advances) {
+        std::vector<double> d_batch(m, 41.0);
+        std::vector<double> d_large(m, 42.0);
+        std::vector<double> d_ref(m, 43.0);
+        const GainRate a = kernels::GainRateBatch(
+            f.w.data(), f.mass.data(), f.e1.data(), m, ds, d_batch.data());
+        const GainRate b = kernels::GainRateBatchLarge(
+            f.w.data(), f.mass.data(), f.e1.data(), m, ds, d_large.data());
+        const GainRate c = kernels::GainRateBatchScalar(
+            f.w.data(), f.mass.data(), f.e1.data(), m, ds, d_ref.data());
+        const std::string at =
+            "m=" + std::to_string(m) + " ds=" + std::to_string(ds);
+        ExpectBitEq(a.gain, c.gain, "gain " + at);
+        ExpectBitEq(a.rate, c.rate, "rate " + at);
+        ExpectBitEq(b.gain, c.gain, "large gain " + at);
+        ExpectBitEq(b.rate, c.rate, "large rate " + at);
+        for (size_t j = 0; j < m; ++j) {
+          ExpectBitEq(d_batch[j], d_ref[j], "d " + at);
+          ExpectBitEq(d_large[j], d_ref[j], "large d " + at);
+        }
+      }
     }
   }
 }

@@ -94,9 +94,13 @@ TEST(ToolUtilDeathTest, TrailingJunkDoubleDies) {
 }
 
 TEST(ToolUtilDeathTest, OutOfRangeDoubleDies) {
-  const Flags flags = MakeFlags({"--alpha", "1e999"});
-  EXPECT_EXIT(flags.GetDouble("alpha", 0.0), ::testing::ExitedWithCode(1),
-              "--alpha expects a number");
+  // A number is finite and starts at the token's first character.
+  for (const char* text : {"1e999", "nan", "inf", "-inf", " 0.5"}) {
+    const Flags flags = MakeFlags({"--alpha", text});
+    EXPECT_EXIT(flags.GetDouble("alpha", 0.0), ::testing::ExitedWithCode(1),
+                "--alpha expects a number")
+        << text;
+  }
 }
 
 TEST(ToolUtilDeathTest, UndeclaredFlagExits2) {

@@ -10,7 +10,7 @@
 // wadv (weighted adversary; ignores --n/--ell), multigran (--chunks,
 // --sectors, --chunk-prob; ignores --n/--ell).
 // Weights: uniform, geometric, zipfpages, loguniform.
-// Mix: lowest, uniform, rw:<write_ratio>, geo:<decay>.
+// Mix: lowest, uniform, rw:<write_ratio> (in [0, 1]), geo:<decay> (> 0).
 // Any other flag, a repeated flag or a stray argument exits 2.
 #include <iostream>
 
@@ -30,15 +30,33 @@ WeightModel ParseWeights(const std::string& s) {
   tools::Die("unknown --weights '" + s + "'");
 }
 
+// The x of --mix rw:<x> / geo:<x>, read by the flags' number rule.
+double MixValue(const std::string& s, size_t prefix) {
+  double x = 0.0;
+  if (!cli::ParseNumber(s.substr(prefix), &x)) {
+    tools::Die("--mix " + s.substr(0, prefix) + "<x> expects a number, got '" +
+               s + "'");
+  }
+  return x;
+}
+
 LevelMix ParseMix(const std::string& s, int32_t ell) {
   if (s == "lowest") return LevelMix::AllLowest(ell);
   if (s == "uniform") return LevelMix::UniformMix(ell);
   if (s.rfind("rw:", 0) == 0) {
     if (ell != 2) tools::Die("--mix rw requires --ell 2");
-    return LevelMix::ReadWrite(std::strtod(s.c_str() + 3, nullptr));
+    const double ratio = MixValue(s, 3);
+    if (ratio < 0.0 || ratio > 1.0) {
+      tools::Die("--mix rw:<x> must be in [0, 1], got '" + s + "'");
+    }
+    return LevelMix::ReadWrite(ratio);
   }
   if (s.rfind("geo:", 0) == 0) {
-    return LevelMix::Geometric(ell, std::strtod(s.c_str() + 4, nullptr));
+    const double decay = MixValue(s, 4);
+    if (decay <= 0.0) {
+      tools::Die("--mix geo:<x> must be > 0, got '" + s + "'");
+    }
+    return LevelMix::Geometric(ell, decay);
   }
   tools::Die("unknown --mix '" + s + "'");
 }
