@@ -204,8 +204,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Second run under a different client/batch schedule AND, on inputs
   // whose telemetry options validated, with the tracer armed — the
   // determinism contract promises both knobs are invisible in the results.
-  // (In telemetry-OFF builds arming is inert and this degrades to the
-  // plain schedule check.)
   const bool arm_tracer = telemetry_ok && (seed & 1) != 0;
   if (arm_tracer) telemetry::Tracer::Arm();
   ServeOptions varied = run;

@@ -29,10 +29,11 @@ Soundness notes:
     gate covers them by requiring every hot implementation (e.g. a
     policy Serve override) to be WMLP_HOT-marked — each becomes its own
     root rather than being reached through the vtable.
-  * The gate is only meaningful on optimized builds without WMLP_AUDIT /
-    WMLP_TELEMETRY / sanitizers: those configs deliberately compile
-    allocation into diagnostic paths. tests/CMakeLists.txt registers the
-    gate as a ctest only for eligible configurations.
+  * The gate is only meaningful on optimized builds without WMLP_AUDIT or
+    sanitizers: those configs deliberately compile allocation into
+    diagnostic paths. tests/CMakeLists.txt registers the gate as a ctest
+    only for eligible configurations. Telemetry is walked like any other
+    code; its allocating paths are WMLP_COLD sinks.
 
 Usage: check_hot_path_allocs.py --build-dir <dir> [--verbose]
 Exit codes: 0 clean, 1 violation, 2 usage/environment error.

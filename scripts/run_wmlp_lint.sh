@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs wmlp_lint (tools/lint) — the project determinism / hot-path /
-# telemetry-gating checker — over the whole first-party tree, using the
+# Runs wmlp_lint (tools/lint) — the project determinism / hot-path
+# checker — over the whole first-party tree, using the
 # CMake compile database for the TU list (headers are added by the
 # tool's own src/ walk). Builds the checker first if the build directory
 # doesn't have it yet. Exits non-zero on any finding.

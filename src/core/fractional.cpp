@@ -58,7 +58,26 @@ FractionalMlp::FractionalMlp(const FractionalOptions& options)
   WMLP_CHECK(options.eta >= 0.0);
 }
 
+FractionalMlp::~FractionalMlp() { PublishCounts(); }
+
+void FractionalMlp::PublishCounts() {
+  telemetry::AddCount("wmlp_fractional_serve_total", std::exchange(serves_, 0));
+  telemetry::AddCount("wmlp_fractional_events_total",
+                      std::exchange(events_processed_, 0));
+  telemetry::AddCount("wmlp_fractional_segments_total",
+                      std::exchange(segments_solved_, 0));
+  telemetry::AddCount("wmlp_fractional_newton_iterations_total",
+                      std::exchange(newton_iterations_, 0));
+  telemetry::AddCount("wmlp_fractional_bisection_fallback_total",
+                      std::exchange(bisection_fallbacks_, 0));
+  telemetry::AddCount("wmlp_fractional_empty_group_rebase_total",
+                      std::exchange(empty_group_rebases_, 0));
+  telemetry::AddCount("wmlp_fractional_group_rebuild_total",
+                      std::exchange(group_rebuilds_, 0));
+}
+
 void FractionalMlp::Attach(const Instance& instance) {
+  PublishCounts();
   instance_ = &instance;
   n_ = instance.num_pages();
   ell_ = instance.num_levels();
@@ -119,10 +138,6 @@ void FractionalMlp::Attach(const Instance& instance) {
   fixed_mass_.assign(static_cast<size_t>(num_classes_), 0.0);
   class_scratch_.assign(static_cast<size_t>(num_classes_), 0.0);
 
-  events_processed_ = 0;
-  segments_solved_ = 0;
-  newton_iterations_ = 0;
-  bisection_fallbacks_ = 0;
   gain_evaluations_ = 0;
   schedule_.u.clear();
   if (options_.record_schedule) schedule_.u.emplace_back(un, 1.0);
@@ -201,10 +216,7 @@ void FractionalMlp::GroupInsert(PageId p) {
     act_cnt_.push_back(0.0);
     act_d_.push_back(0.0);
     act_iw_.push_back(1.0 / g.w);
-    if constexpr (telemetry::kEnabled) {
-      WMLP_TELEMETRY_COUNTER(rebases, "wmlp_fractional_empty_group_rebase_total");
-      rebases.Inc();
-    }
+    ++empty_group_rebases_;
   } else if ((clock_ - g.base_s) / g.w > kMaxGroupExp) {
     RebuildGroup(g);
   }
@@ -280,10 +292,7 @@ void FractionalMlp::GroupRemove(PageId p) {
 }
 
 void FractionalMlp::RebuildGroup(Group& g) {
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(rebuilds, "wmlp_fractional_group_rebuild_total");
-    rebuilds.Inc();
-  }
+  ++group_rebuilds_;
   const size_t m = g.members.size();
   if (rebuild_x_.size() < m) {
     rebuild_x_.resize(m);
@@ -388,10 +397,8 @@ void FractionalMlp::CompactHeapIfNeeded() {
 }
 
 void FractionalMlp::RenormalizeClock() {
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(renorms, "wmlp_fractional_clock_renorm_total");
-    renorms.Inc();
-  }
+  WMLP_TELEMETRY_COUNTER(renorms, "wmlp_fractional_clock_renorm_total");
+  renorms.Inc();
   const double c = clock_;
   heap_.clear();
   for (const int32_t gi : active_groups_) {
@@ -481,10 +488,6 @@ void FractionalMlp::ProcessEvent(PageId p) {
   for (Level j = oldc; j <= ell_; ++j) u_[Idx(p, j)] = cap;
   ++rec.gen;
   ++events_processed_;
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(events, "wmlp_fractional_events_total");
-    events.Inc();
-  }
 
   Level newc = 0;
   if (cap < 1.0) {
@@ -581,11 +584,7 @@ void FractionalMlp::Activate(PageId p) {
 void FractionalMlp::Serve(Time /*t*/, const Request& r) {
   WMLP_CHECK(instance_ != nullptr);
   const Instance& inst = *instance_;
-
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(serves, "wmlp_fractional_serve_total");
-    serves.Inc();
-  }
+  ++serves_;
 
   req_page_ = r.page;
   fired_.clear();
@@ -634,10 +633,6 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
         }
       }
       ++segments_solved_;
-      if constexpr (telemetry::kEnabled) {
-        WMLP_TELEMETRY_COUNTER(segments, "wmlp_fractional_segments_total");
-        segments.Inc();
-      }
       RebaseGroupsTo(ev.s);
 
       // Within the segment no caps bind, so the total gain over the active
@@ -670,16 +665,6 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
             &sc_stats);
         newton_iterations_ += sc_stats.newton_iterations;
         if (sc_stats.used_bisection) ++bisection_fallbacks_;
-        if constexpr (telemetry::kEnabled) {
-          WMLP_TELEMETRY_COUNTER(newton,
-                                 "wmlp_fractional_newton_iterations_total");
-          newton.Add(static_cast<uint64_t>(sc_stats.newton_iterations));
-          if (sc_stats.used_bisection) {
-            WMLP_TELEMETRY_COUNTER(bisect,
-                                   "wmlp_fractional_bisection_fallback_total");
-            bisect.Inc();
-          }
-        }
         AdvanceClock(ds, clock_ + ds);
         break;
       }

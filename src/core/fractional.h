@@ -143,6 +143,8 @@ struct FractionalOptions {
 class FractionalMlp final : public FractionalPolicy {
  public:
   explicit FractionalMlp(const FractionalOptions& options = {});
+  // Publishes the solver counts (see PublishCounts).
+  ~FractionalMlp() override;
 
   void Attach(const Instance& instance) override;
   void Serve(Time t, const Request& r) override;
@@ -184,7 +186,7 @@ class FractionalMlp final : public FractionalPolicy {
   // 2-separated weights).
   Cost movement_cost() const { return movement_cost_; }
 
-  // Introspection for tests and the perf suite.
+  // Introspection for tests and the perf suite: counts since Attach.
   int64_t events_processed() const { return events_processed_; }
   int64_t segments_solved() const { return segments_solved_; }
   int64_t newton_iterations() const { return newton_iterations_; }
@@ -377,6 +379,9 @@ class FractionalMlp final : public FractionalPolicy {
   void DrainWatches();
   bool WatchEntryLive(const Event& e) const;
   void CompactWatchHeapIfNeeded();
+  // Adds the counts below to their registry counters and zeroes them, on
+  // re-Attach and destruction, so Serve makes no registry call.
+  void PublishCounts();
 
   FractionalOptions options_;
   const Instance* instance_ = nullptr;
@@ -460,11 +465,14 @@ class FractionalMlp final : public FractionalPolicy {
   std::vector<double> fixed_mass_;
   mutable std::vector<double> class_scratch_;
 
+  int64_t serves_ = 0;
   int64_t events_processed_ = 0;
   int64_t segments_solved_ = 0;
   int64_t newton_iterations_ = 0;
   int64_t bisection_fallbacks_ = 0;
   int64_t gain_evaluations_ = 0;
+  int64_t empty_group_rebases_ = 0;
+  int64_t group_rebuilds_ = 0;
 };
 
 }  // namespace wmlp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "kernels/kernels.h"
 #include "telemetry/telemetry.h"
@@ -27,7 +28,17 @@ RoundedMultiLevel::RoundedMultiLevel(FractionalPolicyPtr fractional,
   WMLP_CHECK(options.beta >= 0.0);
 }
 
+RoundedMultiLevel::~RoundedMultiLevel() { PublishCounts(); }
+
+void RoundedMultiLevel::PublishCounts() {
+  telemetry::AddCount("wmlp_rounding_reset_evictions_total",
+                      std::exchange(reset_evictions_, 0));
+  telemetry::AddCount("wmlp_rounding_exact_mass_scans_total",
+                      std::exchange(exact_mass_scans_, 0));
+}
+
 void RoundedMultiLevel::Attach(const Instance& instance) {
+  PublishCounts();
   instance_ = &instance;
   beta_ = options_.beta > 0.0
               ? options_.beta
@@ -42,8 +53,6 @@ void RoundedMultiLevel::Attach(const Instance& instance) {
   cached_per_class_.assign(classes, 0);
   mass_lo_.assign(classes, 0.0);
   mass_hi_.assign(classes, 0.0);
-  reset_evictions_ = 0;
-  exact_mass_scans_ = 0;
   // Prefetch front gated on the §13 state footprint: the per-page rows the
   // serve touches are the fractional solver's PageRec line, its u_ row and
   // this policy's threshold.
@@ -126,11 +135,6 @@ void RoundedMultiLevel::ResetPass(Time t, const Request& r, CacheOps& ops) {
         ScanMasses(mass_lo_);
         mass_hi_ = mass_lo_;
         ++exact_mass_scans_;
-        if constexpr (telemetry::kEnabled) {
-          WMLP_TELEMETRY_COUNTER(scans,
-                                 "wmlp_rounding_exact_mass_scans_total");
-          scans.Inc();
-        }
         continue;
       }
       // Preferred victim: an arbitrary cached class-c copy other than p_t
@@ -173,16 +177,14 @@ void RoundedMultiLevel::ResetPass(Time t, const Request& r, CacheOps& ops) {
       ops.Evict(victim);
       --suffix_cached;
       ++reset_evictions_;
-      if constexpr (telemetry::kEnabled) {
-        WMLP_TELEMETRY_COUNTER(resets, "wmlp_rounding_reset_evictions_total");
-        resets.Inc();
-        // Which weight class triggered the reset step: class index c lands
-        // in pow2 bucket floor(log2(c + 1)).
-        WMLP_TELEMETRY_HISTOGRAM(
-            by_class, "wmlp_rounding_reset_class",
-            ::wmlp::telemetry::HistogramLayout::PowerOfTwo());
-        by_class.Observe(static_cast<double>(c) + 1.0);
-      }
+      // Which weight class triggered the reset step: class index c lands in
+      // pow2 bucket floor(log2(c + 1)). Resets are rare (Lemma 4.12), so
+      // this one observes the registry directly.
+      static telemetry::Histogram& by_class =
+          telemetry::Registry::Get().GetHistogram(
+              "wmlp_rounding_reset_class",
+              telemetry::HistogramLayout::PowerOfTwo());
+      by_class.Observe(static_cast<double>(c) + 1.0);
     }
   }
 }

@@ -64,6 +64,8 @@ class RoundedMultiLevel final : public Policy {
  public:
   RoundedMultiLevel(FractionalPolicyPtr fractional, uint64_t seed,
                     const MultiLevelRoundingOptions& options = {});
+  // Publishes the rounding counts (see PublishCounts).
+  ~RoundedMultiLevel() override;
 
   void Attach(const Instance& instance) override;
   void Serve(Time t, const Request& r, CacheOps& ops) override;
@@ -77,6 +79,7 @@ class RoundedMultiLevel final : public Policy {
 
   const FractionalPolicy& fractional() const { return *fractional_; }
   double beta() const { return beta_; }
+  // Counts since Attach (see PublishCounts).
   int64_t reset_evictions() const { return reset_evictions_; }
   // Reset passes whose class-mass band straddled a decision, forcing the
   // exact scan.
@@ -112,6 +115,9 @@ class RoundedMultiLevel final : public Policy {
   void PlaceThreshold(PageId p, Level c);
   void ResetPass(Time t, const Request& r, CacheOps& ops);
   void ScanMasses(std::span<double> out) const;
+  // Adds the reset and scan counts to their registry counters and zeroes
+  // them, on re-Attach and destruction.
+  void PublishCounts();
 
   FractionalPolicyPtr fractional_;
   Rng rng_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "telemetry/telemetry.h"
 #include "util/audit.h"
@@ -10,7 +11,23 @@
 
 namespace wmlp {
 
+WaterfillPolicy::~WaterfillPolicy() { PublishCounts(); }
+
+void WaterfillPolicy::PublishCounts() {
+  telemetry::AddCount("wmlp_waterfill_heap_push_total",
+                      std::exchange(heap_pushes_, 0));
+  telemetry::AddCount("wmlp_waterfill_heap_lazy_delete_total",
+                      std::exchange(lazy_deletes_, 0));
+  telemetry::AddCount("wmlp_waterfill_heap_compaction_total",
+                      std::exchange(compactions_, 0));
+  telemetry::AddCount("wmlp_waterfill_heap_stale_pop_total",
+                      std::exchange(stale_pops_, 0));
+  telemetry::AddCount("wmlp_waterfill_drown_evictions_total",
+                      std::exchange(drowned_, 0));
+}
+
 void WaterfillPolicy::Attach(const Instance& instance) {
+  PublishCounts();
   instance_ = &instance;
   heap_.clear();
   // Compaction keeps the heap within 2x the live set, and the live set is
@@ -36,10 +53,7 @@ void WaterfillPolicy::Attach(const Instance& instance) {
 }
 
 void WaterfillPolicy::HeapInsert(PageId p) {
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(pushes, "wmlp_waterfill_heap_push_total");
-    pushes.Inc();
-  }
+  ++heap_pushes_;
   heap_.push({key_[static_cast<size_t>(p)], p});
   live_[static_cast<size_t>(p)] = 1;
   ++live_size_;
@@ -48,17 +62,11 @@ void WaterfillPolicy::HeapInsert(PageId p) {
 void WaterfillPolicy::HeapErase(PageId p) {
   live_[static_cast<size_t>(p)] = 0;
   --live_size_;
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(erases, "wmlp_waterfill_heap_lazy_delete_total");
-    erases.Inc();
-  }
+  ++lazy_deletes_;
   // Lazy: the entry stays until it surfaces or a compaction sweeps it.
   if (heap_.size() > 64 &&
       heap_.size() > 2 * static_cast<size_t>(live_size_)) {
-    if constexpr (telemetry::kEnabled) {
-      WMLP_TELEMETRY_COUNTER(sweeps, "wmlp_waterfill_heap_compaction_total");
-      sweeps.Inc();
-    }
+    ++compactions_;
     // In-place filter + Floyd rebuild over the heap's own arena, via the
     // strided compaction kernel (src/kernels): same predicate as the
     // scalar remove_if it replaces — bitwise identity of the stored key
@@ -84,10 +92,7 @@ PageId WaterfillPolicy::HeapPopMin() {
       --live_size_;
       return p;
     }
-    if constexpr (telemetry::kEnabled) {
-      WMLP_TELEMETRY_COUNTER(stale, "wmlp_waterfill_heap_stale_pop_total");
-      stale.Inc();
-    }
+    ++stale_pops_;
   }
 }
 
@@ -160,12 +165,7 @@ void WaterfillPolicy::ServeImpl(Time /*t*/, const Request& r,
     const PageId victim = HeapPopMin();
     // Raise the water until the minimum copy drowns.
     offset_ = std::max(offset_, key_[static_cast<size_t>(victim)]);
-    if constexpr (telemetry::kEnabled) {
-      WMLP_TELEMETRY_COUNTER(drowned, "wmlp_waterfill_drown_evictions_total");
-      drowned.Inc();
-      WMLP_TELEMETRY_GAUGE(clock, "wmlp_waterfill_water_clock");
-      clock.Set(offset_);
-    }
+    ++drowned_;
     ops.Evict(victim);
   }
   ops.Fetch(r.page, r.level);  // f(p_t, i_t) = 0 => remaining credit = w

@@ -31,6 +31,12 @@ namespace wmlp {
 
 class WaterfillPolicy final : public Policy {
  public:
+  WaterfillPolicy() = default;
+  // Publishes the heap counts (see PublishCounts).
+  ~WaterfillPolicy() override;
+  WaterfillPolicy(const WaterfillPolicy&) = delete;
+  WaterfillPolicy& operator=(const WaterfillPolicy&) = delete;
+
   void Attach(const Instance& instance) override;
   void Serve(Time t, const Request& r, CacheOps& ops) override;
   std::string name() const override { return "waterfill"; }
@@ -63,6 +69,8 @@ class WaterfillPolicy final : public Policy {
   void HeapErase(PageId p);
   // Pops stale entries until the top is live, then removes and returns it.
   PageId HeapPopMin();
+  // Adds the heap counts below to their registry counters and zeroes them.
+  void PublishCounts();
 
   struct EntryBefore {
     bool operator()(const std::pair<double, PageId>& a,
@@ -87,6 +95,13 @@ class WaterfillPolicy final : public Policy {
   double offset_ = 0.0;
   // High-water mark of offset_ seen by AuditState (water monotonicity).
   mutable double audited_offset_ = 0.0;
+  // Heap work since the last publication (on re-Attach and destruction),
+  // counted in place so Serve makes no registry call.
+  int64_t heap_pushes_ = 0;
+  int64_t lazy_deletes_ = 0;
+  int64_t compactions_ = 0;
+  int64_t stale_pops_ = 0;
+  int64_t drowned_ = 0;
 };
 
 }  // namespace wmlp

@@ -5,14 +5,30 @@
 
 namespace wmlp {
 
+namespace {
+
+telemetry::Gauge& LabelledGauge(const char* name, const std::string& label) {
+  return telemetry::Registry::Get().GetGauge(
+      label.empty() ? std::string(name)
+                    : std::string(name) + "{shard=\"" + label + "\"}");
+}
+
+}  // namespace
+
 CostRatioWatchdog::CostRatioWatchdog(const Instance& instance,
                                      const WatchdogOptions& options)
     : instance_(instance),
-      options_(options),
       health_slot_(health::CostRatioHealth::Get().RegisterSource()),
       value_(static_cast<size_t>(instance.num_pages()), 0.0),
       max_level_(static_cast<size_t>(instance.num_pages()), 0),
-      next_publish_(kPublishEvery) {
+      next_publish_(kPublishEvery),
+      alg_cost_gauge_(LabelledGauge("wmlp_watchdog_alg_cost", options.label)),
+      lower_bound_gauge_(
+          LabelledGauge("wmlp_watchdog_opt_lower_bound", options.label)),
+      ratio_gauge_(
+          LabelledGauge("wmlp_watchdog_cost_ratio_upper", options.label)),
+      requests_gauge_(
+          LabelledGauge("wmlp_watchdog_requests", options.label)) {
   if (options.threshold > 0.0) {
     health::CostRatioHealth::Get().SetThreshold(options.threshold);
   }
@@ -66,18 +82,10 @@ void CostRatioWatchdog::Publish() {
   next_publish_ = requests_seen_ + kPublishEvery;
   health::CostRatioHealth::Get().Update(health_slot_, alg_cost_,
                                         lower_bound());
-  if constexpr (telemetry::kEnabled) {
-    const std::string suffix =
-        options_.label.empty() ? "" : "{shard=\"" + options_.label + "\"}";
-    telemetry::Registry& reg = telemetry::Registry::Get();
-    reg.GetGauge("wmlp_watchdog_alg_cost" + suffix).Set(alg_cost_);
-    reg.GetGauge("wmlp_watchdog_opt_lower_bound" + suffix)
-        .Set(lower_bound());
-    reg.GetGauge("wmlp_watchdog_cost_ratio_upper" + suffix)
-        .Set(ratio_upper());
-    reg.GetGauge("wmlp_watchdog_requests" + suffix)
-        .Set(static_cast<double>(requests_seen_));
-  }
+  alg_cost_gauge_.Set(alg_cost_);
+  lower_bound_gauge_.Set(lower_bound());
+  ratio_gauge_.Set(ratio_upper());
+  requests_gauge_.Set(static_cast<double>(requests_seen_));
 }
 
 }  // namespace wmlp

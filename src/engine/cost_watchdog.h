@@ -31,8 +31,7 @@
 //
 // Publishing: every kPublishEvery requests (and on demand via Publish())
 // the watchdog pushes its totals into the process-wide health registry
-// (telemetry/health.h — feeds /healthz in every build) and, in
-// WMLP_TELEMETRY builds, into `wmlp_watchdog_*` gauges.
+// (telemetry/health.h — feeds /healthz) and into `wmlp_watchdog_*` gauges.
 //
 // Determinism: the watchdog only reads the request stream — it never
 // touches policy or cache state, so serve results are byte-identical with
@@ -44,6 +43,7 @@
 #include <vector>
 
 #include "sim/step_observer.h"
+#include "telemetry/telemetry.h"
 #include "trace/instance.h"
 
 namespace wmlp {
@@ -89,7 +89,6 @@ class CostRatioWatchdog final : public StepObserver {
   void Observe(const Request& r);
 
   const Instance& instance_;
-  const WatchdogOptions options_;
   const int health_slot_;
 
   // v(p) = w(p, deepest requested level); 0 until p is first requested.
@@ -100,6 +99,12 @@ class CostRatioWatchdog final : public StepObserver {
   double alg_cost_ = 0.0;
   int64_t requests_seen_ = 0;
   int64_t next_publish_ = 0;
+
+  // The labelled wmlp_watchdog_* gauges, resolved once at construction.
+  telemetry::Gauge alg_cost_gauge_;
+  telemetry::Gauge lower_bound_gauge_;
+  telemetry::Gauge ratio_gauge_;
+  telemetry::Gauge requests_gauge_;
 };
 
 }  // namespace wmlp

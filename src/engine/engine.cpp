@@ -43,6 +43,19 @@ namespace {
 
 }  // namespace
 
+struct Engine::Metrics {
+  static const Metrics& Get() {
+    static const Metrics metrics;
+    return metrics;
+  }
+  telemetry::Counter& steps =
+      telemetry::Registry::Get().GetCounter("wmlp_engine_steps_total");
+  telemetry::Counter& hits =
+      telemetry::Registry::Get().GetCounter("wmlp_engine_hits_total");
+  telemetry::Counter& misses =
+      telemetry::Registry::Get().GetCounter("wmlp_engine_misses_total");
+};
+
 Engine::Engine(RequestSource& source, Policy& policy,
                const EngineOptions& options)
     : source_(&source),
@@ -50,7 +63,8 @@ Engine::Engine(RequestSource& source, Policy& policy,
       policy_(policy),
       options_(options),
       state_(source.instance()),
-      ops_(source.instance(), state_, options.observer) {
+      ops_(source.instance(), state_, options.observer),
+      metrics_(Metrics::Get()) {
   WMLP_CHECK_MSG(options_.batch >= 1, "EngineOptions::batch must be >= 1");
   policy_.Attach(*instance_);
   pull_buf_.reserve(static_cast<size_t>(options_.batch));
@@ -64,7 +78,8 @@ Engine::Engine(const Instance& instance, Policy& policy,
       policy_(policy),
       options_(options),
       state_(instance),
-      ops_(instance, state_, options.observer) {
+      ops_(instance, state_, options.observer),
+      metrics_(Metrics::Get()) {
   WMLP_CHECK_MSG(options_.batch >= 1, "EngineOptions::batch must be >= 1");
   policy_.Attach(*instance_);
   hit_buf_.reserve(static_cast<size_t>(options_.batch));
@@ -72,16 +87,13 @@ Engine::Engine(const Instance& instance, Policy& policy,
 
 bool Engine::Step() {
   if (done_) return false;
-  WMLP_TELEMETRY_SPAN(span, "engine.step", "engine");
+  telemetry::TraceSpan span("engine.step", "engine");
   Request r;
   if (source_ == nullptr || !source_->Next(r)) {
     done_ = true;
     return false;
   }
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(steps, "wmlp_engine_steps_total");
-    steps.Inc();
-  }
+  metrics_.steps.Inc();
   const Instance& inst = *instance_;
   WMLP_CHECK_MSG(inst.valid_page(r.page) && inst.valid_level(r.level),
                  "invalid request at t=" << time_);
@@ -103,16 +115,10 @@ bool Engine::Step() {
   }
   if (hit) {
     ++hits_;
-    if constexpr (telemetry::kEnabled) {
-      WMLP_TELEMETRY_COUNTER(hit_count, "wmlp_engine_hits_total");
-      hit_count.Inc();
-    }
+    metrics_.hits.Inc();
   } else {
     ++misses_;
-    if constexpr (telemetry::kEnabled) {
-      WMLP_TELEMETRY_COUNTER(miss_count, "wmlp_engine_misses_total");
-      miss_count.Inc();
-    }
+    metrics_.misses.Inc();
   }
   if (options_.observer != nullptr) {
     options_.observer->OnStep(time_, r, hit);
@@ -128,7 +134,7 @@ WMLP_HOT void Engine::StepBatch(std::span<const Request> reqs,
   out.hits = 0;
   out.misses = 0;
   if (n == 0) return;
-  WMLP_TELEMETRY_SPAN(span, "engine.step_batch", "engine");
+  telemetry::TraceSpan span("engine.step_batch", "engine");
   const Instance& inst = *instance_;
   const Time t0 = time_;
   if (options_.observer != nullptr) {
@@ -189,14 +195,9 @@ WMLP_HOT void Engine::StepBatch(std::span<const Request> reqs,
   out.misses = n - batch_hits;
   hits_ += out.hits;
   misses_ += out.misses;
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(steps, "wmlp_engine_steps_total");
-    steps.Add(static_cast<uint64_t>(n));
-    WMLP_TELEMETRY_COUNTER(hit_count, "wmlp_engine_hits_total");
-    hit_count.Add(static_cast<uint64_t>(out.hits));
-    WMLP_TELEMETRY_COUNTER(miss_count, "wmlp_engine_misses_total");
-    miss_count.Add(static_cast<uint64_t>(out.misses));
-  }
+  metrics_.steps.Add(static_cast<uint64_t>(n));
+  metrics_.hits.Add(static_cast<uint64_t>(out.hits));
+  metrics_.misses.Add(static_cast<uint64_t>(out.misses));
   if (options_.observer != nullptr) {
     options_.observer->OnBatch(
         t0, reqs,
@@ -230,7 +231,7 @@ int64_t Engine::RunFor(int64_t n) {
 }
 
 SimResult Engine::Run() {
-  WMLP_TELEMETRY_SPAN(span, "engine.run", "engine");
+  telemetry::TraceSpan span("engine.run", "engine");
   BatchResult batch;
   while (!done_) {
     if (source_ == nullptr) {

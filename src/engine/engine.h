@@ -103,6 +103,10 @@ class Engine {
   // once, never shrunk — the steady-state serve loop does not allocate.
   std::vector<Request> pull_buf_;
   std::vector<uint8_t> hit_buf_;
+  // Registry handles (engine.cpp), registered once per process and held
+  // here, so StepBatch registers no metric; it adds to them once per batch.
+  struct Metrics;
+  const Metrics& metrics_;
 };
 
 }  // namespace wmlp

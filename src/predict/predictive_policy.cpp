@@ -105,10 +105,8 @@ class PredictivePolicy final : public Policy {
       const double other_cost = active_ == 0 ? cost_wf : cost_ftp;
       if (active_cost > theta_ * other_cost) {
         active_ = 1 - active_;
-        if constexpr (telemetry::kEnabled) {
-          WMLP_TELEMETRY_COUNTER(switches, "wmlp_predictive_switch_total");
-          switches.Inc();
-        }
+        WMLP_TELEMETRY_COUNTER(switches, "wmlp_predictive_switch_total");
+        switches.Inc();
       }
     }
     SyncTo(active_ == 0 ? *ftp_state_ : *wf_state_, ops);

@@ -41,10 +41,8 @@ void UnknownWeightsPolicy::ObserveWeight(PageId p, Level i, Cost w) {
     const size_t idx = Index(p, j);
     if (observed_[idx] == 0) est_[idx] = std::max(est_[idx], w);
   }
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(revealed, "wmlp_unknown_weights_revealed_total");
-    revealed.Inc();
-  }
+  WMLP_TELEMETRY_COUNTER(revealed, "wmlp_unknown_weights_revealed_total");
+  revealed.Inc();
 }
 
 void UnknownWeightsPolicy::Serve(Time /*t*/, const Request& r, CacheOps& ops) {

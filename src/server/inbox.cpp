@@ -10,9 +10,9 @@ namespace wmlp {
 
 namespace {
 
-// Telemetry only: nanoseconds on the steady clock, called solely inside
-// `if constexpr (telemetry::kEnabled)` blocks.
-[[maybe_unused]] int64_t NowNsForTelemetry() {
+// Telemetry only: nanoseconds on the steady clock, for the inbox's wait
+// and merge counters.
+int64_t NowNsForTelemetry() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              // Timing metric only; never feeds serving decisions.
              std::chrono::steady_clock::now()  // wmlp-lint-allow(wall-clock)
@@ -22,19 +22,40 @@ namespace {
 
 }  // namespace
 
+struct ShardInbox::Metrics {
+  static const Metrics& Get() {
+    static const Metrics metrics;
+    return metrics;
+  }
+  telemetry::Counter& push_batches =
+      telemetry::Registry::Get().GetCounter("wmlp_inbox_push_batches_total");
+  telemetry::Counter& push_requests =
+      telemetry::Registry::Get().GetCounter("wmlp_inbox_push_requests_total");
+  telemetry::Counter& wait_ns =
+      telemetry::Registry::Get().GetCounter("wmlp_inbox_wait_ns_total");
+  telemetry::Counter& merge_ns =
+      telemetry::Registry::Get().GetCounter("wmlp_inbox_merge_ns_total");
+  telemetry::Counter& pop_batches =
+      telemetry::Registry::Get().GetCounter("wmlp_inbox_pop_batches_total");
+  telemetry::Counter& pop_requests =
+      telemetry::Registry::Get().GetCounter("wmlp_inbox_pop_requests_total");
+  telemetry::Histogram& holdback_depth =
+      telemetry::Registry::Get().GetHistogram(
+          "wmlp_inbox_holdback_depth",
+          telemetry::HistogramLayout::PowerOfTwo());
+  telemetry::Gauge& holdback_depth_now =
+      telemetry::Registry::Get().GetGauge("wmlp_inbox_holdback_depth_now");
+};
+
 ShardInbox::ShardInbox(int32_t num_clients)
-    : clients_(static_cast<size_t>(num_clients)) {
+    : clients_(static_cast<size_t>(num_clients)), metrics_(Metrics::Get()) {
   WMLP_CHECK(num_clients >= 1);
 }
 
 void ShardInbox::Push(int32_t client, std::span<const SeqRequest> batch) {
   if (batch.empty()) return;
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(batches, "wmlp_inbox_push_batches_total");
-    batches.Inc();
-    WMLP_TELEMETRY_COUNTER(requests, "wmlp_inbox_push_requests_total");
-    requests.Add(batch.size());
-  }
+  metrics_.push_batches.Inc();
+  metrics_.push_requests.Add(batch.size());
   {
     MutexLock lock(mutex_);
     ClientQueue& q = clients_[static_cast<size_t>(client)];
@@ -76,16 +97,11 @@ bool ShardInbox::FinishedLocked() const {
 // array and pops from pre-grown rings — nothing in this function's call
 // tree may allocate (gate-checked via WMLP_HOT; see util/hot_path.h).
 WMLP_HOT size_t ShardInbox::PopReady(SeqRequest* out, size_t max_out) {
-  int64_t wait_start = 0;
-  if constexpr (telemetry::kEnabled) wait_start = NowNsForTelemetry();
+  const int64_t wait_start = NowNsForTelemetry();
   MutexLock lock(mutex_);
   while (!CanPopLocked() && !FinishedLocked()) ready_.Wait(lock);
-  int64_t merge_start = 0;
-  if constexpr (telemetry::kEnabled) {
-    merge_start = NowNsForTelemetry();
-    WMLP_TELEMETRY_COUNTER(wait_ns, "wmlp_inbox_wait_ns_total");
-    wait_ns.Add(static_cast<uint64_t>(merge_start - wait_start));
-  }
+  const int64_t merge_start = NowNsForTelemetry();
+  metrics_.wait_ns.Add(static_cast<uint64_t>(merge_start - wait_start));
   size_t popped = 0;
   while (popped < max_out && CanPopLocked()) {
     ClientQueue* best = nullptr;
@@ -98,23 +114,16 @@ WMLP_HOT size_t ShardInbox::PopReady(SeqRequest* out, size_t max_out) {
     out[popped++] = best->queue.front();
     best->queue.pop_front();
   }
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(merge_ns, "wmlp_inbox_merge_ns_total");
-    merge_ns.Add(static_cast<uint64_t>(NowNsForTelemetry() - merge_start));
-    WMLP_TELEMETRY_COUNTER(pops, "wmlp_inbox_pop_batches_total");
-    pops.Inc();
-    WMLP_TELEMETRY_COUNTER(pop_requests, "wmlp_inbox_pop_requests_total");
-    pop_requests.Add(popped);
-    // Hold-back depth: requests still queued after the pop — present but
-    // not yet provably next in sequence order (or beyond max_out).
-    size_t held = 0;
-    for (const ClientQueue& q : clients_) held += q.queue.size();
-    WMLP_TELEMETRY_HISTOGRAM(depth, "wmlp_inbox_holdback_depth",
-                             ::wmlp::telemetry::HistogramLayout::PowerOfTwo());
-    depth.Observe(static_cast<double>(held));
-    WMLP_TELEMETRY_GAUGE(depth_now, "wmlp_inbox_holdback_depth_now");
-    depth_now.Set(static_cast<double>(held));
-  }
+  metrics_.merge_ns.Add(
+      static_cast<uint64_t>(NowNsForTelemetry() - merge_start));
+  metrics_.pop_batches.Inc();
+  metrics_.pop_requests.Add(popped);
+  // Hold-back depth: requests still queued after the pop — present but not
+  // yet provably next in sequence order (or beyond max_out).
+  size_t held = 0;
+  for (const ClientQueue& q : clients_) held += q.queue.size();
+  metrics_.holdback_depth.Observe(static_cast<double>(held));
+  metrics_.holdback_depth_now.Set(static_cast<double>(held));
   return popped;
 }
 

@@ -89,6 +89,12 @@ class ShardInbox {
   Mutex mutex_;
   CondVar ready_;
   std::vector<ClientQueue> clients_ GUARDED_BY(mutex_);
+
+  // Registry handles (inbox.cpp), registered once per process and held
+  // here, so Push and PopReady register no metric; each call adds to them
+  // once.
+  struct Metrics;
+  const Metrics& metrics_;
 };
 
 }  // namespace wmlp

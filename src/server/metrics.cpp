@@ -64,29 +64,27 @@ LatencyHistogram ShardedMetrics::MergedLatency() const {
 }
 
 void ShardedMetrics::PublishTelemetry() const {
-  if constexpr (telemetry::kEnabled) {
-    telemetry::Registry& registry = telemetry::Registry::Get();
-    // Per-shard registration is a cold path (once per serve run) and the
-    // shard count is capped (kMaxShards), so dynamic names stay bounded.
-    for (size_t s = 0; s < meters_.size(); ++s) {
-      const CostMeter& meter = *meters_[s];
-      const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-      registry.GetCounter("wmlp_serve_shard_requests_total" + label)
-          .Add(static_cast<uint64_t>(meter.steps()));
-      registry.GetCounter("wmlp_serve_shard_evictions_total" + label)
-          .Add(static_cast<uint64_t>(meter.evictions()));
-      registry.GetCounter("wmlp_serve_shard_fetches_total" + label)
-          .Add(static_cast<uint64_t>(meter.fetches()));
-      registry.GetGauge("wmlp_serve_shard_eviction_cost" + label)
-          .Set(meter.eviction_cost());
-    }
-    SimResult totals = Totals();
-    registry.GetCounter("wmlp_serve_requests_total")
-        .Add(static_cast<uint64_t>(totals.hits + totals.misses));
-    registry.GetCounter("wmlp_serve_evictions_total")
-        .Add(static_cast<uint64_t>(totals.evictions));
-    registry.GetCounter("wmlp_serve_runs_total").Inc();
+  telemetry::Registry& registry = telemetry::Registry::Get();
+  // Per-shard registration is a cold path (once per serve run) and the
+  // shard count is capped (kMaxShards), so dynamic names stay bounded.
+  for (size_t s = 0; s < meters_.size(); ++s) {
+    const CostMeter& meter = *meters_[s];
+    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
+    registry.GetCounter("wmlp_serve_shard_requests_total" + label)
+        .Add(static_cast<uint64_t>(meter.steps()));
+    registry.GetCounter("wmlp_serve_shard_evictions_total" + label)
+        .Add(static_cast<uint64_t>(meter.evictions()));
+    registry.GetCounter("wmlp_serve_shard_fetches_total" + label)
+        .Add(static_cast<uint64_t>(meter.fetches()));
+    registry.GetGauge("wmlp_serve_shard_eviction_cost" + label)
+        .Set(meter.eviction_cost());
   }
+  SimResult totals = Totals();
+  registry.GetCounter("wmlp_serve_requests_total")
+      .Add(static_cast<uint64_t>(totals.hits + totals.misses));
+  registry.GetCounter("wmlp_serve_evictions_total")
+      .Add(static_cast<uint64_t>(totals.evictions));
+  registry.GetCounter("wmlp_serve_runs_total").Inc();
 }
 
 }  // namespace wmlp

@@ -64,7 +64,7 @@ class ShardedMetrics {
   // Publishes per-shard counters into the telemetry registry in fixed
   // shard order (shard 0 first — the same order Totals() folds in), plus
   // serve-level totals. Runs on the calling (coordinator) thread after the
-  // joins, so it never races the workers; a no-op without WMLP_TELEMETRY.
+  // joins, so it never races the workers.
   void PublishTelemetry() const;
 
   int32_t num_shards() const {

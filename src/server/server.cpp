@@ -129,7 +129,7 @@ std::string ValidateServeConfig(const Instance& instance,
 }
 
 ServeReport ServeTrace(const Trace& trace, const ServeOptions& options) {
-  WMLP_TELEMETRY_SPAN(serve_span, "server.serve_trace", "server");
+  telemetry::TraceSpan serve_span("server.serve_trace", "server");
   const std::string error = OptionsError(options);
   WMLP_CHECK_MSG(error.empty(), "bad serve config: " << error);
 
@@ -182,7 +182,7 @@ ServeReport ServeTrace(const Trace& trace, const ServeOptions& options) {
     if (map.shard_empty(s)) continue;
     workers.emplace_back(
         [&results, &engines, &served, &map, &inboxes, &options, s] {
-          WMLP_TELEMETRY_SPAN(shard_span, "server.shard_worker", "server");
+          telemetry::TraceSpan shard_span("server.shard_worker", "server");
           const auto idx = static_cast<size_t>(s);
           // Staging buffers live here, outside the hot drain loop.
           std::vector<SeqRequest> in(
@@ -244,11 +244,9 @@ ServeReport ServeTrace(const Trace& trace, const ServeOptions& options) {
   // telemetry reads the meters, it never feeds back into the report.
   metrics.PublishTelemetry();
   metrics.PublishWatchdogs();
-  if constexpr (telemetry::kEnabled) {
-    telemetry::Registry::Get()
-        .GetGauge("wmlp_serve_last_wall_seconds")
-        .Set(wall_seconds);
-  }
+  telemetry::Registry::Get()
+      .GetGauge("wmlp_serve_last_wall_seconds")
+      .Set(wall_seconds);
   return report;
 }
 

@@ -200,7 +200,6 @@ std::string SnapshotToJson(const std::vector<MetricSnapshot>& metrics,
   std::ostringstream os;
   os << "{\n"
      << "  \"schema\": \"wmlp-telemetry-snapshot-v1\",\n"
-     << "  \"telemetry_compiled\": " << (kEnabled ? "true" : "false") << ",\n"
      << "  \"uptime_seconds\": " << FmtDouble(uptime_seconds) << ",\n"
      << "  \"metrics\": [";
   bool first = true;

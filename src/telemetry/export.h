@@ -13,10 +13,6 @@
 //   TelemetryRunOptions + the --telemetry-out/--trace-out/--stats-interval
 //   TelemetrySession      contract shared by wmlp_run / wmlp_wbrun /
 //                         wmlp_serve (and fuzzed by fuzz_serve_config).
-//
-// Everything here works in telemetry-OFF builds too: the registry simply
-// holds no instrumented values, so snapshots come out schema-valid with
-// `"telemetry_compiled": false` and an empty (or tool-populated) metric set.
 #pragma once
 
 #include <cstdint>

@@ -8,10 +8,10 @@
 // a healthy/unhealthy bit against a configurable threshold.
 //
 // This lives in namespace wmlp::health (not wmlp::telemetry) on purpose:
-// the watchdog is core serving-path machinery, and the health verdict must
-// exist in telemetry-OFF builds too — it feeds /healthz, not the metric
-// registry. Slots are coarse (one Update per publish interval, default
-// every 1024 requests), so a plain mutex is fine.
+// the watchdog is core serving-path machinery, and the health verdict
+// feeds /healthz, not the metric registry. Slots are coarse (one Update
+// per publish interval, default every 1024 requests), so a plain mutex is
+// fine.
 #pragma once
 
 #include <cstdint>

@@ -599,9 +599,7 @@ bool ParseSnapshot(std::string_view text, SnapshotFile* out,
   if (out->schema != "wmlp-telemetry-snapshot-v1") {
     return Reject(err, "snapshot: unknown schema '" + out->schema + "'");
   }
-  if (!GetBool(doc, "telemetry_compiled", where, &out->telemetry_compiled,
-               err) ||
-      !GetNonNegative(doc, "uptime_seconds", where, &out->uptime_seconds,
+  if (!GetNonNegative(doc, "uptime_seconds", where, &out->uptime_seconds,
                       err)) {
     return false;
   }

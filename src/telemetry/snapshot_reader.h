@@ -79,7 +79,6 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* err);
 // when present it was fully validated.
 struct SnapshotFile {
   std::string schema;
-  bool telemetry_compiled = false;
   double uptime_seconds = 0.0;
   std::vector<MetricSnapshot> metrics;
   bool has_timeseries = false;

@@ -160,10 +160,8 @@ SystemSample SystemStatsCollector::Sample() {
 }
 
 void SystemStatsCollector::PublishGauges(const SystemSample& sample) {
-  // The registry is always compiled (telemetry.h), and this runs on the
-  // sampler thread at sampling cadence — never a serve hot path — so it is
-  // deliberately NOT gated on telemetry::kEnabled: /metrics shows process
-  // stats even in OFF builds.
+  // Runs on the sampler thread at sampling cadence, never on a serve path,
+  // so it registers by name on every call.
   if (sample.valid) {
     Registry& reg = Registry::Get();
     reg.GetGauge("wmlp_process_rss_bytes").Set(sample.rss_bytes);

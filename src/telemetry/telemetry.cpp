@@ -7,6 +7,7 @@
 #include <map>
 
 #include "util/check.h"
+#include "util/hot_path.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -32,11 +33,21 @@ struct ThreadShardHolder {
   ~ThreadShardHolder() { Registry::Get().RetireShard(shard); }
 };
 
+// Constant-initialized, so LocalShard's fast path has no init guard.
+thread_local Shard* tls_shard = nullptr;
+
+// A thread's first write allocates its shard, off the hot paths.
+WMLP_COLD Shard& RegisterLocalShard() {
+  thread_local ThreadShardHolder holder;
+  tls_shard = holder.shard.get();
+  return *tls_shard;
+}
+
 }  // namespace
 
 Shard& LocalShard() {
-  thread_local ThreadShardHolder holder;
-  return *holder.shard;
+  Shard* const shard = tls_shard;
+  return shard != nullptr ? *shard : RegisterLocalShard();
 }
 
 }  // namespace detail
@@ -48,8 +59,11 @@ enum class CellKind : uint8_t { kU64, kF64 };
 struct MetricInfo {
   MetricType type;
   std::size_t base_cell;
-  std::size_t num_cells;
   const HistogramLayout* layout = nullptr;  // histograms only
+  // The registry-owned handle of `type`; the other two stay null.
+  Counter* counter = nullptr;
+  Gauge* gauge = nullptr;
+  Histogram* histogram = nullptr;
 };
 
 bool SameLayout(const HistogramLayout& a, const HistogramLayout& b) {
@@ -70,10 +84,6 @@ struct Registry::Impl {
   std::deque<Gauge> gauges GUARDED_BY(mu);
   std::deque<Histogram> histograms GUARDED_BY(mu);
   std::deque<HistogramLayout> layouts GUARDED_BY(mu);
-  std::map<std::string, Counter*, std::less<>> counter_handles GUARDED_BY(mu);
-  std::map<std::string, Gauge*, std::less<>> gauge_handles GUARDED_BY(mu);
-  std::map<std::string, Histogram*, std::less<>> histogram_handles
-      GUARDED_BY(mu);
   // Live shards (one per running thread that touched a metric) + the folded
   // values of threads that have exited.
   std::vector<std::shared_ptr<detail::Shard>> live_shards GUARDED_BY(mu);
@@ -110,14 +120,14 @@ Counter& Registry::GetCounter(std::string_view name) {
   if (it != im.metrics.end()) {
     WMLP_CHECK_MSG(it->second.type == MetricType::kCounter,
                    "telemetry: metric re-registered with a different type");
-    return *im.counter_handles.find(name)->second;
+    return *it->second.counter;
   }
   WMLP_CHECK_MSG(!name.empty(), "telemetry: empty metric name");
   std::size_t cell = im.AllocCells(1, CellKind::kU64);
-  std::string key(name);
-  im.metrics.emplace(key, MetricInfo{MetricType::kCounter, cell, 1, nullptr});
   im.counters.push_back(Counter(cell));
-  im.counter_handles.emplace(key, &im.counters.back());
+  im.metrics.emplace(name, MetricInfo{.type = MetricType::kCounter,
+                                      .base_cell = cell,
+                                      .counter = &im.counters.back()});
   return im.counters.back();
 }
 
@@ -128,14 +138,14 @@ Gauge& Registry::GetGauge(std::string_view name) {
   if (it != im.metrics.end()) {
     WMLP_CHECK_MSG(it->second.type == MetricType::kGauge,
                    "telemetry: metric re-registered with a different type");
-    return *im.gauge_handles.find(name)->second;
+    return *it->second.gauge;
   }
   WMLP_CHECK_MSG(!name.empty(), "telemetry: empty metric name");
   std::size_t cell = im.AllocCells(1, CellKind::kF64);
-  std::string key(name);
-  im.metrics.emplace(key, MetricInfo{MetricType::kGauge, cell, 1, nullptr});
   im.gauges.push_back(Gauge(cell));
-  im.gauge_handles.emplace(key, &im.gauges.back());
+  im.metrics.emplace(name, MetricInfo{.type = MetricType::kGauge,
+                                      .base_cell = cell,
+                                      .gauge = &im.gauges.back()});
   return im.gauges.back();
 }
 
@@ -149,7 +159,7 @@ Histogram& Registry::GetHistogram(std::string_view name,
                        SameLayout(*it->second.layout, layout),
                    "telemetry: histogram re-registered with a different "
                    "type or layout");
-    return *im.histogram_handles.find(name)->second;
+    return *it->second.histogram;
   }
   WMLP_CHECK_MSG(!name.empty(), "telemetry: empty metric name");
   if (!layout.pow2) {
@@ -167,11 +177,11 @@ Histogram& Registry::GetHistogram(std::string_view name,
   // Cells: [sum (f64), bucket 0.., bucket n-1 (u64)].
   std::size_t cells = 1 + stored->num_buckets();
   std::size_t base = im.AllocCells(cells, CellKind::kF64);
-  std::string key(name);
-  im.metrics.emplace(key,
-                     MetricInfo{MetricType::kHistogram, base, cells, stored});
   im.histograms.push_back(Histogram(base, stored));
-  im.histogram_handles.emplace(key, &im.histograms.back());
+  im.metrics.emplace(name, MetricInfo{.type = MetricType::kHistogram,
+                                      .base_cell = base,
+                                      .layout = stored,
+                                      .histogram = &im.histograms.back()});
   return im.histograms.back();
 }
 
@@ -196,6 +206,13 @@ void Histogram::Observe(double value) {
   detail::Shard& shard = detail::LocalShard();
   shard.AddF64(base_cell_, value);
   shard.AddU64(base_cell_ + 1 + bucket, 1);
+}
+
+void AddCount(std::string_view name, int64_t count) {
+  WMLP_CHECK(count >= 0);
+  if (count > 0) {
+    Registry::Get().GetCounter(name).Add(static_cast<uint64_t>(count));
+  }
 }
 
 std::shared_ptr<detail::Shard> Registry::RegisterShardForCurrentThread() {

@@ -2,20 +2,12 @@
 // cheap thread-local shards, plus a span tracer (trace_span.h) and
 // exporters (export.h).
 //
-// Design (mirrors util/audit.h's compile-gating idiom):
+// Design:
 //
-//   * The registry, metric classes, and exporters are ALWAYS compiled, so
-//     tests and tools work in every build configuration. Only the hot-path
-//     call sites are gated on `telemetry::kEnabled`, which is true when the
-//     tree is configured with -DWMLP_TELEMETRY=ON. A guarded site
-//
-//         if constexpr (telemetry::kEnabled) {
-//           WMLP_TELEMETRY_COUNTER(pushes, "wmlp_waterfill_heap_push_total");
-//           pushes.Inc();
-//         }
-//
-//     compiles to nothing at all in the default (OFF) build — the branch is
-//     a constant false — so instrumented loops cost literally zero there.
+//   * One build, no switch. Work counted per request or per solver event
+//     is a plain integer member of the object that does it, published
+//     through AddCount when that object is re-attached or destroyed;
+//     per-batch, per-run and rare sites write through handles.
 //
 //   * Each thread writes to its own shard: a fixed array of
 //     std::atomic<uint64_t> cells updated with relaxed single-writer
@@ -30,10 +22,12 @@
 //     is sum(double bits) + one u64 cell per bucket, and its count is the
 //     bucket total, so even a snapshot taken mid-Observe is self-consistent.
 //
-//   * Metric registration (GetCounter / GetGauge / GetHistogram) takes the
-//     registry mutex and is NOT for per-request paths; call sites cache the
-//     reference in a function-local static (what WMLP_TELEMETRY_COUNTER
-//     expands to) or a member pointer.
+//   * Metric registration (GetCounter / GetGauge / GetHistogram, AddCount)
+//     takes the registry mutex and allocates on first use, so it is NOT for
+//     per-request paths: hot objects resolve their handles at construction
+//     and rare sites cache one in a function-local static
+//     (WMLP_TELEMETRY_COUNTER). A thread's first write registers its shard
+//     on a WMLP_COLD path.
 //
 // The registry is a leaky singleton: thread shards retire into an
 // accumulator on thread exit, and nothing is destroyed at process exit, so
@@ -49,12 +43,6 @@
 #include <vector>
 
 namespace wmlp::telemetry {
-
-#ifdef WMLP_TELEMETRY
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
 
 enum class MetricType { kCounter, kGauge, kHistogram };
 
@@ -100,7 +88,8 @@ struct Shard {
   void SetF64(std::size_t cell, double value);
 };
 
-Shard& LocalShard();  // creates + registers this thread's shard on first use
+// This thread's shard; the first call registers it (a WMLP_COLD path).
+Shard& LocalShard();
 
 }  // namespace detail
 
@@ -186,17 +175,14 @@ class Registry {
   Impl& impl() const;
 };
 
+// Adds `count` (>= 0) to the counter `name`, registering it unless `count`
+// is 0. Takes the registry mutex: for publication, never per event.
+void AddCount(std::string_view name, int64_t count);
+
 }  // namespace wmlp::telemetry
 
-// Registers (once) and caches a metric reference at the call site. Use
-// inside `if constexpr (telemetry::kEnabled)` blocks so the OFF build
-// compiles the site away entirely.
+// Registers (once) and caches a metric reference at the call site, for
+// rare events.
 #define WMLP_TELEMETRY_COUNTER(var, name)    \
   static ::wmlp::telemetry::Counter& var =   \
       ::wmlp::telemetry::Registry::Get().GetCounter(name)
-#define WMLP_TELEMETRY_GAUGE(var, name)      \
-  static ::wmlp::telemetry::Gauge& var =     \
-      ::wmlp::telemetry::Registry::Get().GetGauge(name)
-#define WMLP_TELEMETRY_HISTOGRAM(var, name, layout) \
-  static ::wmlp::telemetry::Histogram& var =        \
-      ::wmlp::telemetry::Registry::Get().GetHistogram(name, layout)

@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 
+#include "util/hot_path.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -27,9 +28,19 @@ struct TracerState {
   // Live + exited threads.
   std::vector<std::shared_ptr<ThreadTraceBuf>> bufs GUARDED_BY(mu);
   uint32_t next_tid GUARDED_BY(mu) = 0;
-  Clock::time_point base GUARDED_BY(mu) = Clock::now();
   std::atomic<int64_t> dropped{0};
 };
+
+int64_t SteadyNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             Clock::now().time_since_epoch())
+      .count();
+}
+
+// Steady-clock time of the last Arm(). Constant-initialized, so NowNs,
+// which armed spans call inside hot functions, takes no lock and touches
+// no lazily built state.
+std::atomic<int64_t> base_ns{0};
 
 TracerState& State() {
   static TracerState* state = new TracerState;  // leaky, like the registry
@@ -52,37 +63,18 @@ ThreadTraceBuf& LocalBuf() {
 
 }  // namespace
 
-std::atomic<bool>& Tracer::ArmedFlag() {
-  static std::atomic<bool> armed{false};
-  return armed;
-}
-
 void Tracer::Arm() {
-  TracerState& st = State();
-  {
-    MutexLock lock(st.mu);
-    st.base = Clock::now();
-    st.dropped.store(0, std::memory_order_relaxed);
-  }
-  ArmedFlag().store(true, std::memory_order_relaxed);
+  State().dropped.store(0, std::memory_order_relaxed);
+  base_ns.store(SteadyNs());
+  armed_.store(true, std::memory_order_relaxed);
 }
 
-void Tracer::Disarm() { ArmedFlag().store(false, std::memory_order_relaxed); }
+void Tracer::Disarm() { armed_.store(false, std::memory_order_relaxed); }
 
-int64_t Tracer::NowNs() {
-  TracerState& st = State();
-  Clock::time_point base;
-  {
-    MutexLock lock(st.mu);
-    base = st.base;
-  }
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                              base)
-      .count();
-}
+int64_t Tracer::NowNs() { return SteadyNs() - base_ns.load(); }
 
-void Tracer::Emit(const char* name, const char* category, int64_t start_ns,
-                  int64_t duration_ns) {
+WMLP_COLD void Tracer::Emit(const char* name, const char* category,
+                            int64_t start_ns, int64_t duration_ns) {
   if (!armed()) return;
   ThreadTraceBuf& buf = LocalBuf();
   MutexLock lock(buf.mu);

@@ -5,9 +5,8 @@
 // The tracer is DISARMED by default. Arming (Tracer::Arm, done by
 // TelemetrySession when --trace-out is given) zeroes the clock and lets
 // TraceSpan destructors append events to per-thread buffers; Drain()
-// collects them after workers have finished. When the tree is built without
-// -DWMLP_TELEMETRY=ON, `armed()` is a compile-time false and every span is
-// an empty object the optimizer deletes.
+// collects them after workers have finished. A disarmed span costs one
+// relaxed load at each end and records nothing.
 //
 // Per-thread buffers are capped (kMaxEventsPerThread); once full, further
 // events are counted in dropped() instead of recorded — tracing degrades,
@@ -20,8 +19,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "telemetry/telemetry.h"
 
 namespace wmlp::telemetry {
 
@@ -37,9 +34,7 @@ class Tracer {
  public:
   static constexpr std::size_t kMaxEventsPerThread = 1u << 18;
 
-  static bool armed() {
-    return kEnabled && ArmedFlag().load(std::memory_order_relaxed);
-  }
+  static bool armed() { return armed_.load(std::memory_order_relaxed); }
   static void Arm();     // zeroes the clock, enables recording
   static void Disarm();  // stops recording; buffered events remain drainable
 
@@ -47,6 +42,7 @@ class Tracer {
 
   // Appends one complete event to the calling thread's buffer (no-op when
   // disarmed). `name`/`category` must outlive the tracer (string literals).
+  // A WMLP_COLD sink: it runs only while armed, and its buffer grows.
   static void Emit(const char* name, const char* category, int64_t start_ns,
                    int64_t duration_ns);
 
@@ -58,12 +54,11 @@ class Tracer {
   static int64_t dropped();
 
  private:
-  static std::atomic<bool>& ArmedFlag();
+  static inline std::atomic<bool> armed_{false};
 };
 
 // RAII span: records [construction, destruction) as one trace event when
-// the tracer is armed. Zero state and zero code when built without
-// telemetry.
+// the tracer is armed.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "wmlp") {
@@ -92,20 +87,3 @@ class TraceSpan {
 std::string TraceEventsToJson(const std::vector<TraceEvent>& events);
 
 }  // namespace wmlp::telemetry
-
-// Declares a named RAII trace span: WMLP_TELEMETRY_SPAN(span, "name",
-// "category"). This macro is the sanctioned form for span instrumentation
-// outside src/telemetry (lint rule `telemetry-gate`): with telemetry
-// compiled out it expands to nothing at all, so — unlike a raw TraceSpan,
-// which relies on the optimizer folding armed()'s compile-time false —
-// no span code is even emitted, and the hot-path allocation gate never
-// sees Emit's buffer machinery from a marked function. An RAII object
-// cannot sit inside an `if constexpr` block without dying at the brace,
-// which is why spans get a vanishing macro rather than the counter
-// macros' block-gating convention.
-#ifdef WMLP_TELEMETRY
-#define WMLP_TELEMETRY_SPAN(var, ...) \
-  ::wmlp::telemetry::TraceSpan var(__VA_ARGS__)
-#else
-#define WMLP_TELEMETRY_SPAN(var, ...) static_assert(true)
-#endif

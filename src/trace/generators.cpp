@@ -74,10 +74,14 @@ LevelMix LevelMix::Geometric(int32_t num_levels, double decay,
   WMLP_CHECK(decay > 0.0);
   LevelMix m;
   m.probs.resize(static_cast<size_t>(num_levels));
+  // Each term is taken relative to the largest, decay^(rank - top), so none
+  // overflows (decay^7 is inf at decay = 1e300); for decay <= 1 the largest
+  // is rank 0, so the terms are decay^rank.
+  const int32_t top = decay > 1.0 ? num_levels - 1 : 0;
   double total = 0.0;
   for (int32_t i = 0; i < num_levels; ++i) {
     const int32_t rank = top_heavy ? i : (num_levels - 1 - i);
-    m.probs[static_cast<size_t>(i)] = std::pow(decay, rank);
+    m.probs[static_cast<size_t>(i)] = std::pow(decay, rank - top);
     total += m.probs[static_cast<size_t>(i)];
   }
   for (auto& p : m.probs) p /= total;

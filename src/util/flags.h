@@ -3,8 +3,10 @@
 // (--name) or a list (--name V1 [V2 ...], up to the next --flag). An
 // undeclared flag, a positional argument, a repeated flag or a missing
 // value exits 2 naming the offending token, so a typo never falls back to
-// a default; there is no --name=value spelling. The typed getters parse
-// strictly and exit 1 naming the flag: "--trials 1O" is an error, not 0.
+// a default; there is no --name=value spelling. A flag that only one mode
+// reads exits 2 the same way when given in another (OnlyInMode). The typed
+// getters parse strictly and exit 1 naming the flag: "--trials 1O" is an
+// error, not 0.
 #pragma once
 
 #include <cctype>
@@ -63,6 +65,16 @@ class Flags {
         if (kind->second == Kind::kValue) break;
       }
       if (it->second.empty()) Die("missing value for '" + arg + "'", 2);
+    }
+  }
+
+  // `names` are read only in `mode` (as the user spells it, e.g. "--kind
+  // loop"): outside it (`in_mode` false) giving one exits 2 naming it.
+  void OnlyInMode(bool in_mode, const std::string& mode,
+                  const std::vector<std::string>& names) const {
+    if (in_mode) return;
+    for (const auto& name : names) {
+      if (Has(name)) Die("'--" + name + "' applies only with " + mode, 2);
     }
   }
 

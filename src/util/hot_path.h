@@ -23,10 +23,10 @@
 // demangled name mentions `wmlp::coldpath` as a sink.
 //
 // Discipline for WMLP_HOT functions (lint rule `hot-check-msg` enforces
-// the first two at the source level):
+// the first at the source level, the gate all three on the objects):
 //   * WMLP_CHECK only — never WMLP_CHECK_MSG (the message's ostringstream
 //     allocates at the call site, before the noreturn helper is reached).
-//   * No telemetry registration outside `if constexpr` gating.
+//   * No metric registration: write through handles resolved beforehand.
 //   * Every container touched must be pre-sized via a WMLP_COLD /
 //     coldpath:: helper; the steady-state body performs index writes only.
 #pragma once

@@ -2,8 +2,9 @@
 # Every binary parses its flags strictly (src/util/flags.h). Each tool, one
 # bench_e* binary, bench_perf_suite and wmlp_lint is run three ways — a
 # misspelled flag, a stray positional argument and a repeated value flag —
-# and each run must exit 2 and name the offending token on stderr. The
-# inputs are real, so the typo is the only thing wrong with each command.
+# and each run must exit 2 and name the offending token on stderr; so must
+# a flag one mode reads given in another. The inputs are real, so the typo
+# is the only thing wrong with each command.
 #
 # Usage: tests/cli_typo_test.sh <tools-dir> <bench-dir> <scratch-dir>
 set -u
@@ -78,6 +79,13 @@ expect --rot "$tools/wmlp_lint" --rot "$dir"
 expect stray "$tools/wmlp_lint" --list-rules stray
 expect --root "$tools/wmlp_lint" --root "$dir" --root "$dir"
 
+# A flag declared for one mode is rejected in another.
+expect --loop-size "$tools/wmlp_tracegen" --kind zipf --loop-size 7 \
+  --out "$dir/t.wmlp"
+expect --require-nonzero "$tools/wmlp_stats" --snapshot "$snap" \
+  --require-nonzero M
+expect --k "$tools/wmlp_run" --trace "$trace" --k 5
+
 # A value flag needs its value, and there is one spelling per flag.
 expect --trace "$tools/wmlp_serve" --trace
 expect --seed "$tools/wmlp_run" --trace "$trace" --seed --opt
@@ -88,4 +96,4 @@ if [[ $failures -ne 0 ]]; then
   echo "$failures command(s) did not exit 2 naming the offending token" >&2
   exit 1
 fi
-echo "every misspelled, stray or repeated argument exited 2"
+echo "every misspelled, stray, repeated or out-of-mode argument exited 2"

@@ -1,18 +1,13 @@
 // Fixture: MUST produce zero findings, even when linted --as-dir
 // src/core. Exercises the near-miss shapes the rules must NOT flag:
-// gated telemetry, suppressed wall-clock, integral ==, ordered-map
-// iteration, rule tokens inside comments and strings.
+// suppressed wall-clock, integral ==, ordered-map iteration, rule tokens
+// inside comments and strings.
 #include <chrono>
 #include <cstdint>
 #include <map>
 
 #define WMLP_HOT
 #define WMLP_CHECK(cond)
-#define WMLP_TELEMETRY_COUNTER(var, name)
-
-namespace telemetry {
-inline constexpr bool kEnabled = false;
-}
 
 // Commented rule bait must stay invisible: std::rand(), steady_clock,
 // mass == 1.0, WMLP_CHECK_MSG.
@@ -20,9 +15,6 @@ int64_t SumOrdered(const std::map<int64_t, int64_t>& weights) {
   int64_t total = 0;
   for (const auto& [page, weight] : weights) {  // ordered: deterministic
     total += page + weight;
-  }
-  if constexpr (telemetry::kEnabled) {
-    WMLP_TELEMETRY_COUNTER(sums, "wmlp_fixture_sums_total");
   }
   const char* label = "srand( in a string literal is fine";
   (void)label;

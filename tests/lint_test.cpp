@@ -5,8 +5,8 @@
 // tests/lint_fixtures exists to trigger exactly one rule, and the test
 // asserts the exact rule id fires on the marked line. The clean fixture
 // and the whole-tree scan pin the other direction: the shapes the rules
-// must NOT flag (gated telemetry, suppressed lines, tokens inside
-// comments/strings) stay silent, and the shipped tree itself stays
+// must NOT flag (suppressed lines, tokens inside comments/strings) stay
+// silent, and the shipped tree itself stays
 // finding-free — the same check CI's lint job runs.
 #include <gtest/gtest.h>
 
@@ -66,8 +66,7 @@ TEST(LintRules, RuleIdsAreStable) {
   EXPECT_EQ(RuleIds(),
             (std::vector<std::string>{"determinism-rng", "unordered-iter",
                                       "wall-clock", "float-eq",
-                                      "telemetry-gate", "hot-check-msg",
-                                      "kernel-parity"}));
+                                      "hot-check-msg", "kernel-parity"}));
 }
 
 TEST(LintFixtures, DeterminismRngFires) {
@@ -87,11 +86,6 @@ TEST(LintFixtures, WallClockFires) {
 
 TEST(LintFixtures, FloatEqFires) {
   ExpectFixtureFires("float_eq.cpp", "src/core/float_eq.cpp", "float-eq");
-}
-
-TEST(LintFixtures, TelemetryGateFires) {
-  ExpectFixtureFires("telemetry_gate.cpp", "src/engine/telemetry_gate.cpp",
-                     "telemetry-gate");
 }
 
 TEST(LintFixtures, HotCheckMsgFires) {
@@ -121,9 +115,9 @@ TEST(LintRules, KernelParitySatisfiedByTwin) {
   EXPECT_TRUE(LintSource("src/kernels/x.cpp", src).empty());
 }
 
-// The near-miss battery: gated telemetry, suppressed wall-clock, ordered
-// iteration, integral ==, and rule tokens inside comments/strings must
-// all stay silent — even under the strictest directory scoping.
+// The near-miss battery: suppressed wall-clock, ordered iteration,
+// integral ==, and rule tokens inside comments/strings must all stay
+// silent — even under the strictest directory scoping.
 TEST(LintFixtures, CleanFixtureIsClean) {
   const std::string content = ReadFile(FixturePath("clean.cpp"));
   const std::vector<Finding> findings =
@@ -182,41 +176,6 @@ TEST(LintRules, CommentsAndStringsAreInvisible) {
       "const char* s = \"srand( 2.0 == x\";\n"
       "const char* r = R\"(std::rand())\";\n";
   EXPECT_TRUE(LintSource("src/core/x.cpp", src).empty());
-}
-
-TEST(LintRules, TelemetryGateClosesWithItsBrace) {
-  // Inside the kEnabled block: fine. After it closes: flagged.
-  const std::string src =
-      "void F() {\n"
-      "  if constexpr (telemetry::kEnabled) {\n"
-      "    telemetry::Registry::Get();\n"
-      "  }\n"
-      "  telemetry::Registry::Get();\n"
-      "}\n";
-  const std::vector<Finding> findings =
-      LintSource("src/engine/x.cpp", src);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "telemetry-gate");
-  EXPECT_EQ(findings[0].line, 5);
-}
-
-TEST(LintRules, BracelessGateDoesNotLeak) {
-  const std::string src =
-      "void F() {\n"
-      "  if constexpr (telemetry::kEnabled) Arm();\n"
-      "  telemetry::Registry::Get();\n"
-      "}\n";
-  const std::vector<Finding> findings =
-      LintSource("src/engine/x.cpp", src);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].line, 3);
-}
-
-TEST(LintRules, TelemetryGateScopedToSrcOutsideTelemetry) {
-  const std::string src = "void F() { telemetry::Registry::Get(); }\n";
-  EXPECT_FALSE(LintSource("src/engine/x.cpp", src).empty());
-  EXPECT_TRUE(LintSource("src/telemetry/x.cpp", src).empty());
-  EXPECT_TRUE(LintSource("tools/x.cpp", src).empty());
 }
 
 TEST(LintRules, HotRegionEndsAtClosingBrace) {

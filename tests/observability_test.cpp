@@ -52,8 +52,7 @@ TEST(HttpServerTest, ServesMetricsVarsAndHealthz) {
   EXPECT_EQ(status, 200);
   EXPECT_EQ(body.rfind("ok", 0), 0u);
 
-  // The endpoint counts its own scrapes (always-on metric: it lives in
-  // src/telemetry/, outside the kEnabled gate).
+  // The endpoint counts its own scrapes.
   ASSERT_TRUE(HttpGet("127.0.0.1", server.port(), "/metrics", &status,
                       &body, &err))
       << err;

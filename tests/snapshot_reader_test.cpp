@@ -32,7 +32,6 @@ bool Rejects(const std::string& text) {
 // the metrics array.
 std::string Doc(const std::string& extra) {
   return std::string("{\n  \"schema\": \"wmlp-telemetry-snapshot-v1\",\n") +
-         "  \"telemetry_compiled\": false,\n" +
          "  \"uptime_seconds\": 1.0,\n  \"metrics\": []" + extra + "\n}\n";
 }
 
@@ -40,8 +39,8 @@ std::string Doc(const std::string& extra) {
 std::string MetricsDoc(const std::string& metrics,
                        const std::string& uptime = "1.0") {
   return std::string("{\"schema\": \"wmlp-telemetry-snapshot-v1\", ") +
-         "\"telemetry_compiled\": true, \"uptime_seconds\": " + uptime +
-         ", \"metrics\": [" + metrics + "]}";
+         "\"uptime_seconds\": " + uptime + ", \"metrics\": [" + metrics +
+         "]}";
 }
 
 std::string CounterJson(const std::string& name, const std::string& value) {
@@ -146,6 +145,21 @@ TEST(SnapshotReaderTest, PlaneSectionsAreOptional) {
   EXPECT_FALSE(parsed.has_system);
 }
 
+// Older snapshots carry a "telemetry_compiled" flag the writer no longer
+// emits; the reader ignores keys it does not read.
+TEST(SnapshotReaderTest, OlderSnapshotWithCompiledFlagReads) {
+  SnapshotFile parsed;
+  std::string err;
+  ASSERT_TRUE(ParseSnapshot(
+      "{\"schema\": \"wmlp-telemetry-snapshot-v1\", "
+      "\"telemetry_compiled\": false, \"uptime_seconds\": 2.0, "
+      "\"metrics\": [" + CounterJson("old_total", "3") + "]}",
+      &parsed, &err))
+      << err;
+  ASSERT_EQ(parsed.metrics.size(), 1u);
+  EXPECT_EQ(parsed.metrics[0].counter_value, 3u);
+}
+
 TEST(SnapshotReaderTest, TruncatedDocumentsAreRejected) {
   const std::string full = SnapshotToJson({}, 1.0);
   // Any cut inside the document body must fail loudly, never yield a
@@ -164,8 +178,8 @@ TEST(SnapshotReaderTest, DuplicateObjectKeysAreRejected) {
   // And through the snapshot path.
   EXPECT_TRUE(Rejects(
       "{\"schema\": \"wmlp-telemetry-snapshot-v1\", \"schema\": "
-      "\"wmlp-telemetry-snapshot-v1\", \"telemetry_compiled\": false, "
-      "\"uptime_seconds\": 0, \"metrics\": []}"));
+      "\"wmlp-telemetry-snapshot-v1\", \"uptime_seconds\": 0, "
+      "\"metrics\": []}"));
 }
 
 TEST(SnapshotReaderTest, NonFiniteNumericsAreRejected) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -165,6 +166,19 @@ TEST(Generators, LevelMixGeometricNormalized) {
   EXPECT_NEAR(sum, 1.0, 1e-12);
   // Bottom-heavy by default: level 4 most probable.
   EXPECT_GT(m.probs[3], m.probs[0]);
+}
+
+TEST(Generators, LevelMixGeometricLargeDecayStaysFinite) {
+  // decay^7 overflows to inf at 1e300; the mix must still put its mass on
+  // level 1, the largest term.
+  const LevelMix m = LevelMix::Geometric(8, 1e300);
+  double sum = 0.0;
+  for (double p : m.probs) {
+    EXPECT_TRUE(std::isfinite(p));
+    sum += p;
+  }
+  EXPECT_DOUBLE_EQ(sum, 1.0);
+  EXPECT_DOUBLE_EQ(m.probs[0], 1.0);
 }
 
 TEST(Generators, ZipfTraceValidAndSkewed) {

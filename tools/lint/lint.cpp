@@ -264,81 +264,43 @@ void CheckUnorderedIter(Ctx& ctx, const std::string& header_context) {
   }
 }
 
-// Structural pass: tracks brace depth to know (a) whether a line sits
-// inside an `if constexpr (telemetry::kEnabled)` block and (b) whether it
-// sits inside a WMLP_HOT function body. Both rules need the same walk.
+// Structural pass: tracks brace depth to know whether a line sits inside
+// a WMLP_HOT function body.
 void CheckStructural(Ctx& ctx) {
-  const bool telemetry_scope =
-      StartsWith(ctx.path, "src/") &&
-      !StartsWith(ctx.path, "src/telemetry/");
-
-  static const std::regex gate_re(
-      R"(\bif\s+constexpr\s*\([^)]*kEnabled)");
-  static const std::regex telemetry_use_re(
-      R"(\btelemetry\s*::|\bWMLP_TELEMETRY_(?:COUNTER|GAUGE|HISTOGRAM)\b)");
-
   int depth = 0;
-  std::vector<int> gate_stack;  // depths at which a kEnabled block opened
-  bool gate_armed = false;
   int hot_depth = -1;  // body depth of the innermost WMLP_HOT function
   bool hot_armed = false;
 
   for (size_t i = 0; i < ctx.stripped.size(); ++i) {
     const std::string& line = ctx.stripped[i];
-    const bool preprocessor = IsPreprocessor(line);
-
-    if (!preprocessor) {
-      if (std::regex_search(line, gate_re)) gate_armed = true;
-      if (line.find("WMLP_HOT") != std::string::npos && hot_depth < 0) {
-        hot_armed = true;
-      }
-
-      // telemetry-gate: an un-gated telemetry use. The gate line itself,
-      // WMLP_TELEMETRY_SPAN (self-vanishing macro), and preprocessor
-      // lines are exempt.
-      if (telemetry_scope && gate_stack.empty() && !gate_armed &&
-          line.find("WMLP_TELEMETRY_SPAN") == std::string::npos &&
-          std::regex_search(line, telemetry_use_re)) {
-        Report(ctx, i, "telemetry-gate",
-               "telemetry call not under `if constexpr "
-               "(telemetry::kEnabled)`; un-gated calls put registry work "
-               "on the serve path even in telemetry-off builds");
-      }
-
-      // hot-check-msg: WMLP_CHECK_MSG inside a WMLP_HOT body.
-      if (hot_depth >= 0 && depth >= hot_depth &&
-          line.find("WMLP_CHECK_MSG") != std::string::npos) {
-        Report(ctx, i, "hot-check-msg",
-               "WMLP_CHECK_MSG inside a WMLP_HOT function: the message's "
-               "ostringstream allocates at the call site; use WMLP_CHECK "
-               "plus a WMLP_COLD [[noreturn]] reporter");
-      }
+    if (IsPreprocessor(line)) continue;
+    if (line.find("WMLP_HOT") != std::string::npos && hot_depth < 0) {
+      hot_armed = true;
     }
 
-    if (preprocessor) continue;
+    // hot-check-msg: WMLP_CHECK_MSG inside a WMLP_HOT body.
+    if (hot_depth >= 0 && depth >= hot_depth &&
+        line.find("WMLP_CHECK_MSG") != std::string::npos) {
+      Report(ctx, i, "hot-check-msg",
+             "WMLP_CHECK_MSG inside a WMLP_HOT function: the message's "
+             "ostringstream allocates at the call site; use WMLP_CHECK "
+             "plus a WMLP_COLD [[noreturn]] reporter");
+    }
+
     for (const char c : line) {
       if (c == '{') {
         ++depth;
-        if (gate_armed) {
-          gate_stack.push_back(depth);
-          gate_armed = false;
-        }
         if (hot_armed) {
           hot_depth = depth;
           hot_armed = false;
         }
       } else if (c == '}') {
-        if (!gate_stack.empty() && gate_stack.back() == depth) {
-          gate_stack.pop_back();
-        }
         if (hot_depth == depth) hot_depth = -1;
         --depth;
       } else if (c == ';') {
         // Nothing legitimate separates a pending marker from its body
-        // brace with a semicolon: this is either a mere declaration
-        // (WMLP_HOT prototype) or a braceless `if constexpr (kEnabled)
-        // stmt;`, which gates only its own line.
-        gate_armed = false;
+        // brace with a semicolon: this is a mere declaration (a WMLP_HOT
+        // prototype).
         hot_armed = false;
       }
     }
@@ -404,8 +366,8 @@ std::set<std::pair<size_t, std::string>> ParseSuppressions(
 }  // namespace
 
 std::vector<std::string> RuleIds() {
-  return {"determinism-rng", "unordered-iter", "wall-clock",   "float-eq",
-          "telemetry-gate",  "hot-check-msg",  "kernel-parity"};
+  return {"determinism-rng", "unordered-iter", "wall-clock", "float-eq",
+          "hot-check-msg", "kernel-parity"};
 }
 
 std::vector<Finding> LintSource(const std::string& path,

@@ -2,8 +2,8 @@
 // half of the determinism and hot-path contracts; docs/ARCHITECTURE.md
 // §12). The engine is a token-level pass over comment/string-stripped
 // source — deliberately so: the invariants it guards are lexically
-// recognizable (a std::rand token, an un-gated telemetry:: call, a
-// WMLP_CHECK_MSG between a WMLP_HOT marker's braces), which keeps the
+// recognizable (a std::rand token, a steady_clock read, a WMLP_CHECK_MSG
+// between a WMLP_HOT marker's braces), which keeps the
 // checker dependency-free and runnable in every environment the build
 // runs in, clang or not. Type-level properties the text can't prove are
 // covered by the companion gates: -Wthread-safety on the clang CI legs
@@ -28,11 +28,6 @@
 //                     approximation: literal-free double compares are
 //                     bitwise-identity idioms the repo allows, e.g.
 //                     waterfill's stale-key filter.)
-//   telemetry-gate    telemetry:: / WMLP_TELEMETRY_{COUNTER,GAUGE,
-//                     HISTOGRAM} in src/ outside src/telemetry not under
-//                     `if constexpr (telemetry::kEnabled)`.
-//                     WMLP_TELEMETRY_SPAN is exempt: the macro itself
-//                     vanishes when telemetry is compiled out.
 //   hot-check-msg     WMLP_CHECK_MSG inside a WMLP_HOT function body: the
 //                     message's ostringstream allocates at the call site,
 //                     inside the allocation-free tree.

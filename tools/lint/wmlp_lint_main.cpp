@@ -1,5 +1,5 @@
-// wmlp_lint: the project determinism / hot-path / telemetry-gating
-// checker (rules in lint/lint.h, contract in docs/ARCHITECTURE.md §12).
+// wmlp_lint: the project determinism / hot-path checker (rules in
+// lint/lint.h, contract in docs/ARCHITECTURE.md §12).
 //
 // Usage (normally via scripts/run_wmlp_lint.sh):
 //   wmlp_lint --root <repo> [--compile-db <compile_commands.json>]
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       findings = wmlp::lint::LintFiles(root, files);
     } else {
       // Lint each file as if it lived under as_dir, so the
-      // directory-scoped rules (unordered-iter, telemetry-gate) apply to
+      // directory-scoped rules (unordered-iter, kernel-parity) apply to
       // fixture TUs stored elsewhere. The path must be synthesized
       // BEFORE linting — the rules key off it.
       for (const std::string& file : files) {

@@ -12,8 +12,10 @@
 // --policy takes any registry name or spec (registry/policy_registry.h),
 // e.g. randomized:engine=reference for the O(n * ell)-per-step reference
 // solver. All modes accept the shared telemetry flags (tools/tool_util.h;
-// src/telemetry/export.h). Any other flag, a repeated flag or a stray
-// argument exits 2.
+// src/telemetry/export.h). Any other flag, a repeated flag, a stray
+// argument or another mode's flag (--k, --dirty, --clean and
+// --max-requests need --import; --chunk and --latency --trace-stream)
+// exits 2.
 //
 // --trace-stream replays the same format incrementally through the engine's
 // StreamingFileSource, holding only O(chunk) requests in memory — use it for
@@ -133,6 +135,10 @@ int main(int argc, char** argv) {
   if (path.empty() && import_path.empty() && stream_path.empty()) {
     tools::Die("--trace, --trace-stream, or --import is required");
   }
+  flags.OnlyInMode(!import_path.empty(), "--import",
+                   {"k", "dirty", "clean", "max-requests"});
+  flags.OnlyInMode(!stream_path.empty(), "--trace-stream",
+                   {"chunk", "latency"});
 
   // Validate the policy name once; a predictive spec's range error is
   // MakePredictivePolicy's message.

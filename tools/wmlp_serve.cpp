@@ -28,8 +28,7 @@
 // --telemetry-out writes a wmlp-telemetry-snapshot-v1 JSON of every
 // registered metric at exit; --trace-out writes Chrome/Perfetto trace_event
 // JSON of the engine/server spans; --stats-interval N dumps Prometheus text
-// to stderr every N seconds while serving. In telemetry-OFF builds the
-// files are still written (schema-valid, but with no instrumented values).
+// to stderr every N seconds while serving.
 //
 // Observability plane (docs/ARCHITECTURE.md §15):
 // --sample-interval N snapshots every metric into in-memory ring buffers

@@ -7,14 +7,13 @@
 //   ... [--filter substr]                        restrict to matching names
 //                                                (no match => exit nonzero)
 //   wmlp_stats --check [--snapshot s.json] [--trace t.json]
-//       [--require-compiled] [--require-nonzero NAME...]
+//       [--require-nonzero NAME...]
 //       [--require-timeseries] [--min-ticks N] [--require-system]
 //       [--base earlier.json]                    validate + assert
 //
 // Every file is read through telemetry/snapshot_reader.h, the one
 // validator of the snapshot and trace formats, so a malformed file fails
 // every mode. --check then makes the assertions CI needs about a run:
-//   --require-compiled    telemetry_compiled is true;
 //   --require-nonzero     each named metric (exact name, labels included)
 //                         exists with a nonzero counter value, histogram
 //                         count or gauge |value|;
@@ -26,7 +25,8 @@
 //                         counter, histogram count or bucket went
 //                         backwards, and the uptime did not shrink.
 // It prints every failed assertion and exits 1 if there was one. Any
-// other flag, a repeated flag or a stray argument exits 2 in every mode.
+// other flag, a repeated flag, a stray argument, a --check flag without
+// --check or --prometheus / --filter with it exits 2.
 //
 // The summary prints one row per metric: counters as their value, gauges
 // as-is, histograms as count/mean/p50/p99 from the stored buckets
@@ -199,11 +199,6 @@ bool Nonzero(const MetricSnapshot& m) {
 std::vector<std::string> SnapshotFailures(const tools::Flags& flags,
                                           const SnapshotFile& s) {
   std::vector<std::string> failures;
-  if (flags.Has("require-compiled") && !s.telemetry_compiled) {
-    failures.push_back(
-        "telemetry_compiled is false (was the binary built with "
-        "-DWMLP_TELEMETRY=ON?)");
-  }
   for (const std::string& name : flags.GetList("require-nonzero")) {
     const MetricSnapshot* m = FindMetric(s.metrics, name);
     if (m == nullptr) {
@@ -253,6 +248,9 @@ int RunCheck(const tools::Flags& flags) {
   if (snapshot_path.empty() && trace_path.empty()) {
     tools::Die("--check needs --snapshot and/or --trace");
   }
+  flags.OnlyInMode(!snapshot_path.empty(), "--snapshot",
+                   {"require-nonzero", "require-timeseries", "min-ticks",
+                    "require-system", "base"});
   std::vector<std::string> failures;
   std::string checked;
   if (!snapshot_path.empty()) {
@@ -260,13 +258,6 @@ int RunCheck(const tools::Flags& flags) {
     failures = SnapshotFailures(flags, snapshot);
     checked = snapshot_path + ": " + std::to_string(snapshot.metrics.size()) +
               " metrics";
-  } else {
-    for (const char* flag :
-         {"require-compiled", "require-nonzero", "require-timeseries",
-          "min-ticks", "require-system", "base"}) {
-      if (flags.Has(flag)) tools::Die(std::string("--") + flag +
-                                      " needs --snapshot");
-    }
   }
   if (!trace_path.empty()) {
     std::size_t events = 0;
@@ -294,10 +285,16 @@ int main(int argc, char** argv) {
   const tools::Flags flags(
       argc, argv,
       {.values = {"snapshot", "trace", "base", "filter", "min-ticks"},
-       .switches = {"check", "prometheus", "require-compiled",
-                    "require-timeseries", "require-system"},
+       .switches = {"check", "prometheus", "require-timeseries",
+                    "require-system"},
        .lists = {"require-nonzero"}});
-  if (flags.Has("check")) return RunCheck(flags);
+  const bool check = flags.Has("check");
+  flags.OnlyInMode(check, "--check",
+                   {"trace", "require-nonzero", "require-timeseries",
+                    "min-ticks", "require-system"});
+  flags.OnlyInMode(!check, "a summary (no --check)",
+                   {"prometheus", "filter"});
+  if (check) return RunCheck(flags);
   const std::string snapshot_path = flags.GetString("snapshot");
   if (snapshot_path.empty()) tools::Die("--snapshot is required");
   const SnapshotFile snapshot = ReadSnapshotOrDie(snapshot_path);
@@ -314,8 +311,6 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "snapshot " << snapshot_path << " (schema " << snapshot.schema
-            << ", telemetry "
-            << (snapshot.telemetry_compiled ? "compiled" : "not compiled")
             << ", uptime " << Fmt(snapshot.uptime_seconds, 3) << " s";
   if (!base_path.empty()) std::cout << ", diffed against " << base_path;
   std::cout << ", " << metrics.size() << " metrics)\n";

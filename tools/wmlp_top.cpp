@@ -18,8 +18,8 @@
 //
 // The dashboard is a pure consumer: it never registers metrics, so
 // pointing it at its own process would show nothing. Rendering tolerates
-// missing sections (telemetry-OFF builds, sampler not enabled) and
-// renders whatever is present.
+// missing sections (sampler not enabled, no watchdog) and renders whatever
+// is present.
 #include <charconv>
 #include <chrono>
 #include <cstdint>
@@ -183,10 +183,7 @@ void Render(const SnapshotFile& snapshot, const std::string& source,
   if (!plain) std::cout << "\033[H\033[2J";
   std::cout << "wmlp_top — " << source << " — uptime "
             << Fmt(snapshot.uptime_seconds, 1) << " s — "
-            << snapshot.metrics.size() << " metrics — poll #" << poll
-            << (snapshot.telemetry_compiled ? ""
-                                            : " — telemetry NOT compiled")
-            << "\n";
+            << snapshot.metrics.size() << " metrics — poll #" << poll << "\n";
   RenderSystem(snapshot);
   RenderWatchdog(snapshot);
   RenderShards(snapshot);

@@ -11,7 +11,8 @@
 // --sectors, --chunk-prob; ignores --n/--ell).
 // Weights: uniform, geometric, zipfpages, loguniform.
 // Mix: lowest, uniform, rw:<write_ratio> (in [0, 1]), geo:<decay> (> 0).
-// Any other flag, a repeated flag or a stray argument exits 2.
+// Any other flag, a repeated flag, a stray argument or a kind's flag with
+// another --kind exits 2.
 #include <iostream>
 
 #include "tool_util.h"
@@ -73,6 +74,13 @@ int main(int argc, char** argv) {
                   "phase-len", "scan-len", "scan-prob", "stay", "window",
                   "chunks", "sectors", "chunk-prob"}});
   const std::string kind = flags.GetString("kind", "zipf");
+  flags.OnlyInMode(kind == "loop", "--kind loop", {"loop-size"});
+  flags.OnlyInMode(kind == "phases", "--kind phases",
+                   {"ws-size", "phase-len"});
+  flags.OnlyInMode(kind == "scan", "--kind scan", {"scan-len", "scan-prob"});
+  flags.OnlyInMode(kind == "markov", "--kind markov", {"stay", "window"});
+  flags.OnlyInMode(kind == "multigran", "--kind multigran",
+                   {"chunks", "sectors", "chunk-prob"});
   // Every numeric flag is range-checked (tool_util.h convention): the
   // upper bounds double as the int32 narrowing guard for the casts below.
   const int32_t n =

@@ -7,7 +7,8 @@
 //   wmlp_wbrun --trace t.wbtrace
 //
 // Accepts the shared telemetry flags (tools/tool_util.h); any other flag,
-// a repeated flag or a stray argument exits 2.
+// a repeated flag, a stray argument or a generator flag with --trace
+// exits 2.
 //
 // Runs the native writeback baselines and the paper's algorithms through
 // the Lemma 2.1 reduction, printing a comparison against the offline
@@ -41,6 +42,9 @@ int main(int argc, char** argv) {
   telemetry::TelemetrySession telemetry_session(topts);
   tools::DieOnSessionStartError(telemetry_session);
 
+  flags.OnlyInMode(!flags.Has("trace"), "a generated trace (no --trace)",
+                   {"n", "k", "length", "alpha", "write-ratio", "dirty",
+                    "clean", "page-dependent"});
   wb::WbTrace trace{wb::WbInstance(1, 1, {1.0}, {1.0}), {}};
   if (flags.Has("trace")) {
     std::string err;
