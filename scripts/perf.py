@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
-"""The perf gate: bench_perf_suite built from the parent and the change.
+"""The perf gates: bench_perf_suite and servebench built from the parent
+and the change.
 
   scripts/perf.py check FILE
   scripts/perf.py run [--quick] [--parent REV] [OUT]
+  scripts/perf.py serve [--parent REV] [--pairs N] [--seconds S]
+                        [--first-seed SEED] [--workload W]...
+                        [--claim WORKLOAD:METRIC]... [--changes-cost]
+                        [--no-timing-gate] [--json FILE]
 
 `check` validates one bench_perf_suite JSON document (wmlp-bench-perf-v1):
 schema tag, git_sha, optimized: true, reps, metadata, a positive
@@ -32,6 +37,24 @@ first, validates every run, and gates:
 head's per-cell minima, keeps every round's document under OUT/rounds, and
 appends one row of those minima to bench_results/history.jsonl.
 
+`serve` builds servebench (the steady-state benchmark BENCHMARK.json runs)
+from the same parent tree and from the working tree, and runs N pairs per
+workload (default: every BENCHMARK.json workload), each pair on a fresh
+seed (FIRST_SEED, FIRST_SEED + 1, ...) with --trace 0, alternating which
+side runs first. It prints, per workload and end-to-end metric, the
+parent's and the change's q1/median/q3, the median ratio, how many pairs
+the change won and the parent's IQR, then every pair. It fails when
+
+  * a run reports correct false or failed > 0;
+  * a change median is worse than the parent's by more than the metric's
+    BENCHMARK.json bound (not with --no-timing-gate, which still checks
+    the rest: CI's smoke runs one short pair);
+  * a pair's evict_cost_per_req differs between the sides, unless
+    --changes-cost declares that the change moves cost;
+  * a claimed gain (--claim WORKLOAD:METRIC) fails the rule the issues
+    state: the change wins at least 9 of 10 pairs (that share of N) and
+    its median beats the parent's by more than the parent's IQR.
+
 Exit status: 0 valid or passed, 1 invalid or failed, 2 usage, IO or build
 error.
 """
@@ -51,8 +74,13 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build" / "perf"
 HISTORY = ROOT / "bench_results" / "history.jsonl"
 
+BENCHMARK = ROOT / "BENCHMARK.json"
+
 ROUNDS = 10
 BOUND = 1.25
+SERVE_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
+SERVE_TIMEOUT_S = 170
 ALLOC_SETUP = 512.0
 ALLOC_PER_REQUEST = 0.01
 MIN_SPEEDUP = 5.0
@@ -288,17 +316,18 @@ def step(cmd):
             f"{done.returncode}")
 
 
-def build(src, tree):
-    """Builds bench_perf_suite from `src` as a Release tree at `tree`."""
+def build(src, tree, target="bench_perf_suite", binary="bench"):
+    """Builds `target` from the CMake project at `src` as a Release tree at
+    `tree`; returns the binary's path (`binary` is its directory in the
+    tree, relative)."""
     if not (tree / "CMakeCache.txt").is_file():
         cmd = ["cmake", "-S", src, "-B", tree, "-DCMAKE_BUILD_TYPE=Release"]
         if shutil.which("ninja"):
             cmd += ["-G", "Ninja"]
         step(cmd)
     jobs = max(1, min(4, os.cpu_count() or 1))
-    step(["cmake", "--build", tree, "--target", "bench_perf_suite", "-j",
-          jobs])
-    return tree / "bench" / "bench_perf_suite"
+    step(["cmake", "--build", tree, "--target", target, "-j", jobs])
+    return tree / binary / target
 
 
 def parent_source(sha):
@@ -387,6 +416,198 @@ def run(quick, parent_rev, out):
     return 0
 
 
+def quartiles(values):
+    """(q1, median, q3) by linear interpolation between order statistics
+    (numpy's default); one value is all three."""
+    v = sorted(values)
+    if not v:
+        raise ValueError("no values")
+
+    def at(q):
+        pos = (len(v) - 1) * q
+        lo = math.floor(pos)
+        hi = min(lo + 1, len(v) - 1)
+        return v[lo] + (v[hi] - v[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def serve_summary(pairs, metric, better):
+    """Statistics of one metric over (parent, change) result pairs: each
+    side's quartiles, the change/parent median ratio, the pairs the change
+    won (strictly better) and the parent's IQR."""
+    parent = [p["metrics"][metric] for p, _ in pairs]
+    change = [c["metrics"][metric] for _, c in pairs]
+    pq, cq = quartiles(parent), quartiles(change)
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    return {
+        "parent": pq,
+        "change": cq,
+        "ratio": cq[1] / pq[1] if pq[1] else math.inf,
+        "wins": wins,
+        "pairs": len(pairs),
+        "parent_iqr": pq[2] - pq[0],
+    }
+
+
+def serve_gate(results, metrics, claims=(), changes_cost=False,
+               gate_timing=True):
+    """Gates servebench pairs. `results` maps a workload to its list of
+    (parent, change) result objects, `metrics` lists BENCHMARK.json's
+    end-to-end entries and `claims` (workload, metric) gains. Returns the
+    failures."""
+    failures = []
+    for workload, pairs in results.items():
+        for i, pair in enumerate(pairs):
+            for side, r in zip(("parent", "change"), pair):
+                if r.get("correct") is not True or r.get("failed") != 0:
+                    failures.append(
+                        f"{workload} pair {i}: the {side} run reported "
+                        f"correct={r.get('correct')} "
+                        f"failed={r.get('failed')}")
+            costs = [r["metrics"].get("evict_cost_per_req") for r in pair]
+            if not changes_cost and costs[0] != costs[1]:
+                failures.append(
+                    f"{workload} pair {i}: evict_cost_per_req "
+                    f"{costs[0]!r} -> {costs[1]!r}; the change does not "
+                    "declare that it moves cost (--changes-cost)")
+        for m in metrics:
+            s = serve_summary(pairs, m["name"], m["better"])
+            p, c = s["parent"][1], s["change"][1]
+            worse = c > p * (1 + m["bound"]) if m["better"] == "lower" \
+                else c < p * (1 - m["bound"])
+            if gate_timing and worse:
+                failures.append(
+                    f"{workload} {m['name']}: median {c:.6g} vs parent "
+                    f"{p:.6g} ({s['ratio']:.3f}x), past the bound "
+                    f"{m['bound']}")
+    for workload, metric in claims:
+        if workload not in results:
+            failures.append(f"claim {workload}:{metric}: the workload did "
+                            "not run")
+            continue
+        better = next((m["better"] for m in metrics
+                       if m["name"] == metric), None)
+        if better is None:
+            failures.append(f"claim {workload}:{metric}: not an end-to-end "
+                            "metric of BENCHMARK.json")
+            continue
+        s = serve_summary(results[workload], metric, better)
+        gap = s["parent"][1] - s["change"][1]
+        if better != "lower":
+            gap = -gap
+        need = math.ceil(CLAIM_WIN_SHARE * s["pairs"])
+        if s["wins"] < need or not gap > s["parent_iqr"]:
+            failures.append(
+                f"claim {workload}:{metric}: the change won {s['wins']} of "
+                f"{s['pairs']} pairs (need {need}) and moved the median by "
+                f"{gap:.6g} against a parent IQR of {s['parent_iqr']:.6g}")
+    return failures
+
+
+def print_serve_table(results, metrics):
+    for workload, pairs in results.items():
+        print(f"\n{workload}: {len(pairs)} pairs, seeds "
+              f"{pairs[0][0]['seed']}..{pairs[-1][0]['seed']}")
+        print(f"  {'metric':<19}  {'parent q1/median/q3':>26}  "
+              f"{'change q1/median/q3':>26}  {'ratio':>6}  {'won':>5}  "
+              f"{'parent IQR':>10}")
+        for m in metrics:
+            s = serve_summary(pairs, m["name"], m["better"])
+            q = ["/".join(f"{x:.4g}" for x in s[side])
+                 for side in ("parent", "change")]
+            print(f"  {m['name']:<19}  {q[0]:>26}  {q[1]:>26}  "
+                  f"{s['ratio']:6.3f}  {s['wins']:>2}/{s['pairs']:<2}  "
+                  f"{s['parent_iqr']:10.4g}")
+        for m in metrics:
+            cells = [f"{p['metrics'][m['name']]:.4g}->"
+                     f"{c['metrics'][m['name']]:.4g}" for p, c in pairs]
+            print(f"  {m['name']} per pair: {'; '.join(cells)}")
+
+
+def serve_once(binary, workload, seed, seconds):
+    """One servebench --trace 0 run; its result object with the seed, or
+    an error string."""
+    cmd = [str(binary), "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
+    try:
+        done = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True,
+                              timeout=SERVE_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"{' '.join(cmd)} exceeded {SERVE_TIMEOUT_S} s"
+    if done.returncode != 0:
+        return f"{' '.join(cmd)} exited with status {done.returncode}"
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        # Each metric is {"value": v, "unit": u}; the gate reads values.
+        result["metrics"] = {name: float(m["value"])
+                             for name, m in result["metrics"].items()}
+        result["metrics"]["evict_cost_per_req"]
+    except (ValueError, IndexError, KeyError, TypeError, AttributeError):
+        return f"{' '.join(cmd)} did not end with a result line"
+    result["seed"] = seed
+    return result
+
+
+def serve(args):
+    with open(BENCHMARK) as f:
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    claims = []
+    for claim in args.claim:
+        workload, _, metric = claim.partition(":")
+        if not metric:
+            die(f"--claim expects WORKLOAD:METRIC, got {claim!r}")
+        claims.append((workload, metric))
+    parent_sha = git("rev-parse", "--verify", args.parent + "^{commit}")
+    print(f"building servebench from the parent ({parent_sha[:12]}) and "
+          "the working tree", flush=True)
+    binary = {
+        "parent": build(parent_source(parent_sha) / "servebench",
+                        BUILD / "serve-parent", "servebench", ""),
+        "change": build(ROOT / "servebench", BUILD / "serve-change",
+                        "servebench", ""),
+    }
+    results = {}
+    for workload in workloads:
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            pair = {}
+            order = ("parent", "change") if i % 2 == 0 else \
+                ("change", "parent")
+            for side in order:
+                result = serve_once(binary[side], workload, seed,
+                                    args.seconds)
+                if isinstance(result, str):
+                    print(f"SERVE GATE FAILED: the {side} run: {result}",
+                          file=sys.stderr)
+                    return 1
+                pair[side] = result
+            pairs.append((pair["parent"], pair["change"]))
+            print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}) done",
+                  flush=True)
+        results[workload] = pairs
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump({w: [list(p) for p in pairs]
+                       for w, pairs in results.items()}, f, indent=1)
+            f.write("\n")
+    print_serve_table(results, metrics)
+    failures = serve_gate(results, metrics, claims, args.changes_cost,
+                          not args.no_timing_gate)
+    if failures:
+        print("\nSERVE GATE FAILED:", file=sys.stderr)
+        for failure in failures:
+            print(f"  - {failure}", file=sys.stderr)
+        return 1
+    print("\nserve gate passed")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -402,10 +623,41 @@ def main():
     run_cmd.add_argument("out", nargs="?", type=Path,
                          default=ROOT / "bench_results",
                          help="output directory (default bench_results)")
+    serve_cmd = sub.add_parser("serve", help="gate servebench pairs of the "
+                               "working tree against its parent")
+    serve_cmd.add_argument("--parent", default="HEAD",
+                           help="revision to gate against (default HEAD)")
+    serve_cmd.add_argument("--pairs", type=int, default=SERVE_PAIRS,
+                           help=f"pairs per workload (default "
+                           f"{SERVE_PAIRS})")
+    serve_cmd.add_argument("--seconds", type=float, default=30.0,
+                           help="servebench --seconds per run (default "
+                           "30, BENCHMARK.json's)")
+    serve_cmd.add_argument("--first-seed", type=int, default=1000,
+                           help="seed of the first pair (default 1000)")
+    serve_cmd.add_argument("--workload", action="append", default=[],
+                           help="a workload to run (repeatable; default "
+                           "all of BENCHMARK.json's)")
+    serve_cmd.add_argument("--claim", action="append", default=[],
+                           metavar="WORKLOAD:METRIC",
+                           help="a gain the change claims (repeatable)")
+    serve_cmd.add_argument("--changes-cost", action="store_true",
+                           help="the change moves evict_cost_per_req")
+    serve_cmd.add_argument("--no-timing-gate", action="store_true",
+                           help="print timing medians without gating "
+                           "them (smoke runs)")
+    serve_cmd.add_argument("--json", type=Path,
+                           help="write every pair's results here")
     args = ap.parse_args()
 
     if args.command == "run":
         return run(args.quick, args.parent, args.out.resolve())
+    if args.command == "serve":
+        if args.pairs < 1 or not 0 < args.seconds <= 60 or \
+                args.first_seed < 0:
+            die("--pairs must be >= 1, --seconds in (0, 60] and "
+                "--first-seed >= 0")
+        return serve(args)
     try:
         doc = load(args.file)
     except (OSError, ValueError) as e:

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/core_audit.h"
+#include "core/discretize.h"
 #include "core/stopping_clock.h"
 #include "core/weight_classes.h"
 #include "kernels/kernels.h"
@@ -30,11 +31,6 @@ constexpr double kMaxGroupExp = 8.0;
 // decision tolerance for the lightest admissible weight (w >= 1, which the
 // Instance validates).
 constexpr double kClockRenormThreshold = 256.0;
-// Exact e1 refresh cadence (see RefreshE1): the incremental advance
-// drifts by ~1 ulp per accrual, so 1024 accruals keep the accumulated
-// drift near 1e-13 — well under kEps — while the refresh's ExpBatch cost
-// is amortized to ~1/1024 exp per group per segment.
-constexpr int64_t kE1RefreshInterval = 1024;
 }  // namespace
 
 void FractionalPolicy::ClassSuffixMass(const Instance& instance,
@@ -56,6 +52,7 @@ int64_t FractionalPolicy::present_pages(const Instance& instance) const {
 FractionalMlp::FractionalMlp(const FractionalOptions& options)
     : options_(options) {
   WMLP_CHECK(options.eta >= 0.0);
+  WMLP_CHECK(options.delta <= 1.0);
 }
 
 FractionalMlp::~FractionalMlp() { PublishCounts(); }
@@ -84,6 +81,9 @@ void FractionalMlp::Attach(const Instance& instance) {
   eta_ = options_.eta > 0.0
              ? options_.eta
              : 1.0 / static_cast<double>(instance.cache_size());
+  delta_ = options_.delta < 0.0
+               ? 0.0
+               : grid::Resolve(options_.delta, instance.cache_size());
   clock_ = 0.0;
   lp_cost_ = 0.0;
   movement_cost_ = 0.0;
@@ -98,6 +98,10 @@ void FractionalMlp::Attach(const Instance& instance) {
   if (un > u_cap_) {
     u_ = std::make_unique_for_overwrite<double[]>(un);
     u_cap_ = un;
+  }
+  if (delta_ > 0.0 && un > phase_cap_) {
+    phase_ = std::make_unique_for_overwrite<double[]>(un);
+    phase_cap_ = un;
   }
   if (n > page_cap_) {
     rec_ = std::make_unique_for_overwrite<PageRec[]>(n);
@@ -130,10 +134,10 @@ void FractionalMlp::Attach(const Instance& instance) {
   accrue_count_ = 0;
 
   req_page_ = -1;
-  untimed_.clear();
-  watch_heap_.clear();
-  armed_watches_ = 0;
+  watch_head_.clear();
   fired_.clear();
+  phase_pages_.clear();
+  closed_phase_cost_ = 0.0;
   num_classes_ = WeightClasses(instance).num_classes();
   fixed_mass_.assign(static_cast<size_t>(num_classes_), 0.0);
   class_scratch_.assign(static_cast<size_t>(num_classes_), 0.0);
@@ -162,15 +166,23 @@ void FractionalMlp::PrefetchPage(PageId p) const {
   WMLP_PREFETCH_READ(epoch_of_.data() + sp);
   WMLP_PREFETCH_WRITE(rec_.get() + sp);
   WMLP_PREFETCH_WRITE(u_.get() + sp * static_cast<size_t>(ell_));
+  if (delta_ > 0.0) {
+    WMLP_PREFETCH_WRITE(phase_.get() + sp * static_cast<size_t>(ell_));
+  }
 }
 
-double FractionalMlp::U(PageId p, Level i) const {
+double FractionalMlp::RawU(PageId p, Level i) const {
   if (!Fresh(p)) return 1.0;  // untouched this epoch: fully absent
   const PageRec& rec = rec_[static_cast<size_t>(p)];
   if (rec.state != PageState::kActive || i < rec.cursor) {
     return u_[Idx(p, i)];
   }
   return DynamicU(p);
+}
+
+double FractionalMlp::U(PageId p, Level i) const {
+  const double u = RawU(p, i);
+  return delta_ > 0.0 ? grid::Snap(u, delta_) : u;
 }
 
 double FractionalMlp::SuffixWeight(PageId p, Level from) const {
@@ -217,8 +229,10 @@ void FractionalMlp::GroupInsert(PageId p) {
     act_d_.push_back(0.0);
     act_iw_.push_back(1.0 / g.w);
     ++empty_group_rebases_;
-  } else if ((clock_ - g.base_s) / g.w > kMaxGroupExp) {
-    RebuildGroup(g);
+  } else if ((clock_ - g.base_s) *
+                 act_iw_[static_cast<size_t>(g.active_pos)] >
+             kMaxGroupExp) {
+    RebuildGroup(gi);
   }
   // Both call sites (ProcessEvent, Activate) materialize the page at the
   // current clock just before inserting, so s0 == clock_ and the term
@@ -239,6 +253,9 @@ void FractionalMlp::GroupInsert(PageId p) {
 
 void FractionalMlp::GroupRemove(PageId p) {
   PageRec& rec = rec_[static_cast<size_t>(p)];
+  // A watch is listed only while its page is a member (the caller re-keys
+  // it against the page's next group, if any).
+  if (rec.watched) UnlistWatch(watch_[static_cast<size_t>(p)]);
   const int32_t gi = rec.group_of;
   Group& g = groups_[static_cast<size_t>(gi)];
   // Subtract the cached term — the exact double GroupInsert/RebuildGroup
@@ -287,11 +304,12 @@ void FractionalMlp::GroupRemove(PageId p) {
     return;
   }
   if (++g.removals > 32 + 2 * static_cast<int64_t>(g.members.size())) {
-    RebuildGroup(g);
+    RebuildGroup(gi);
   }
 }
 
-void FractionalMlp::RebuildGroup(Group& g) {
+void FractionalMlp::RebuildGroup(int32_t gi) {
+  Group& g = groups_[static_cast<size_t>(gi)];
   ++group_rebuilds_;
   const size_t m = g.members.size();
   if (rebuild_x_.size() < m) {
@@ -305,14 +323,25 @@ void FractionalMlp::RebuildGroup(Group& g) {
   // One batched exp pass over the membership; the multiply-accumulate
   // below is cheap next to the transcendentals.
   kernels::ExpBatch(rebuild_x_.data(), rebuild_e_.data(), m);
+  // The members' watches are re-keyed against the new terms, as e1
+  // restarts at 1.
+  if (g.watch_base >= 0) {
+    std::fill_n(watch_head_.begin() + g.watch_base, kWatchBuckets, -1);
+    g.watch_floor = kWatchBuckets - 1;
+  }
   double mass = 0.0;
   double lp = 0.0;
   for (size_t j = 0; j < m; ++j) {
-    PageRec& rq = rec_[static_cast<size_t>(g.members[j])];
+    const PageId q = g.members[j];
+    PageRec& rq = rec_[static_cast<size_t>(q)];
     const double term = (rq.u0 + eta_) * rebuild_e_[j];
     rq.term = term;
     mass += term;
     lp += rq.csum * term;
+    if (rq.watched) {
+      WatchRec& w = watch_[static_cast<size_t>(q)];
+      if (w.list >= 0) ListWatch(q, w);
+    }
   }
   g.base_s = clock_;
   g.removals = 0;
@@ -324,9 +353,12 @@ void FractionalMlp::RebuildGroup(Group& g) {
 }
 
 void FractionalMlp::RebaseGroupsTo(double s_horizon) {
-  for (const int32_t gi : active_groups_) {
-    Group& g = groups_[static_cast<size_t>(gi)];
-    if ((s_horizon - g.base_s) / g.w <= kMaxGroupExp) continue;
+  for (size_t j = 0; j < active_groups_.size(); ++j) {
+    const int32_t gi = active_groups_[j];
+    if ((s_horizon - groups_[static_cast<size_t>(gi)].base_s) * act_iw_[j] <=
+        kMaxGroupExp) {
+      continue;
+    }
     // A full rebuild, not a factor multiplication: rounding residuals left
     // in the sums by earlier inserts/removals are amplified by
     // e^{(S - base_s)/w} at evaluation time, so merely folding the factor
@@ -336,7 +368,7 @@ void FractionalMlp::RebaseGroupsTo(double s_horizon) {
     // request: the clock advances ~w/|active| per request in steady state,
     // so a group is rebuilt about once per kMaxGroupExp * |active|
     // requests.
-    RebuildGroup(g);
+    RebuildGroup(gi);
   }
 }
 
@@ -415,9 +447,6 @@ void FractionalMlp::RenormalizeClock() {
   // before use. The heap is rebuilt in its arena so live entries carry
   // shifted times (stale entries are dropped wholesale).
   heap_.heapify();
-  // A uniform shift preserves the watch heap's order (fp subtraction is
-  // monotone), so its entries move in place.
-  for (Event& e : watch_heap_.entries()) e.s -= c;
   clock_ = 0.0;
 }
 
@@ -522,7 +551,7 @@ void FractionalMlp::ProcessEvent(PageId p) {
     }
     rec.state = PageState::kAbsent;
     ++absent_count_;
-    RetimeWatch(p, /*at_event=*/true);
+    RetimeWatch(p);
     return;
   }
   rec.cursor = newc;
@@ -532,7 +561,7 @@ void FractionalMlp::ProcessEvent(PageId p) {
   GroupInsert(p);
   PushEvent(p);
   AddClassMass(p, +1.0);
-  RetimeWatch(p, /*at_event=*/true);
+  RetimeWatch(p);
 }
 
 void FractionalMlp::DetachAndMaterialize(PageId p) {
@@ -593,6 +622,7 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
 
   // ---- Step 1: serve the request (u of p_t only decreases; no cost). ----
   DetachAndMaterialize(r.page);
+  if (delta_ > 0.0) ClosePhase(r.page);
   // Conditional so GCC does not turn the loop into a memset call.
   for (Level j = r.level; j <= ell_; ++j) {
     double& u = u_[Idx(r.page, j)];
@@ -602,8 +632,8 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
   // ---- Step 2: evict continuously until the cache fits. -----------------
   const double target = static_cast<double>(n_ - inst.cache_size());
   double need = target - TotalAbsentMass();
+  bool rose = false;  // whether the water (every group's e1) rose
   if (need > kEps) {
-    TimeArmedWatches();
     while (need > kEps) {
       Event ev;
       WMLP_CHECK_MSG(PeekEvent(&ev), "no page available for eviction");
@@ -613,11 +643,15 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
         // reference's segment-start scan, which snaps u >= cap - kEps
         // levels to the cap for free, so both solvers make the same
         // discrete decisions at segment boundaries.
+        // The gap is cap minus the unclamped live value term * e1 - eta,
+        // which equals (cap + eta)(1 - e^{(clock - s_ev)/w}) with no exp.
         const PageRec& rec = rec_[static_cast<size_t>(ev.page)];
         const double w = instance_->weight(ev.page, rec.cursor);
-        const double cap = CapOf(rec, ev.page);
         const double remaining =
-            (cap + eta_) * (1.0 - std::exp((clock_ - ev.s) / w));
+            CapOf(rec, ev.page) + eta_ -
+            rec.term *
+                act_e1_[static_cast<size_t>(
+                    groups_[static_cast<size_t>(rec.group_of)].active_pos)];
         if (remaining <= kEps) {
           // The gap to the cap is still real movement and must be charged:
           // on heavy pages even a kEps-sized rise carries O(w * kEps) cost,
@@ -666,9 +700,11 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
         newton_iterations_ += sc_stats.newton_iterations;
         if (sc_stats.used_bisection) ++bisection_fallbacks_;
         AdvanceClock(ds, clock_ + ds);
+        rose = true;
         break;
       }
       AdvanceClock(ds_ev, ev.s);
+      rose = true;
       heap_.pop();
       ProcessEvent(ev.page);
       need = target - TotalAbsentMass();
@@ -677,11 +713,12 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
 
   // The clock's advance is final: fire the watches it passed, in page
   // order so consumers act on them deterministically.
-  DrainWatches();
+  if (rose) DrainWatches();
   std::sort(fired_.begin(), fired_.end());
 
   // Re-enter the requested page into the active machinery.
   Activate(r.page);
+  if (delta_ > 0.0) OpenPhase(r.page);
 
   if (options_.record_schedule) {
     std::vector<double> snap(static_cast<size_t>(n_) *
@@ -735,24 +772,31 @@ void FractionalMlp::ClassSuffixMass(const Instance& /*instance*/,
     lo[c] = suffix;
     hi[c] = suffix;
   }
+  if (delta_ > 0.0) grid::WidenBand(active_count_, delta_, lo, hi);
 }
 
 void FractionalMlp::ArmWatch(PageId p, Level i, double x) {
   WMLP_CHECK(p >= 0 && p < n_ && i >= 1 && i <= ell_);
+  if (delta_ > 0.0) {
+    if (x >= 1.0) {  // a snapped value never exceeds 1
+      DisarmWatch(p);
+      return;
+    }
+    x = grid::WatchThreshold(x, delta_);
+  }
   PageRec& rec = Rec(p);  // materializes an untouched page as absent
   WatchRec& w = watch_[static_cast<size_t>(p)];
-  if (rec.watch == WatchState::kNever) w.gen = 0;
-  if (rec.watch != WatchState::kArmed) {
-    rec.watch = WatchState::kArmed;
-    ++armed_watches_;
+  if (rec.watched) {
+    UnlistWatch(w);
+  } else {
+    rec.watched = true;
   }
-  w.level = i;
   w.x = x;
-  ++w.gen;  // any earlier due time is stale
-  if (!rec.untimed) {
-    rec.untimed = true;
-    untimed_.push_back(p);
-  }
+  w.level = i;
+  w.list = -1;
+  // An absent page's values are 1 and never rise; a level above the
+  // cursor is frozen. Either waits, unlisted, for a cap event or a request.
+  if (rec.state == PageState::kActive && i >= rec.cursor) ListWatch(p, w);
 }
 
 void FractionalMlp::DisarmWatch(PageId p) {
@@ -761,21 +805,55 @@ void FractionalMlp::DisarmWatch(PageId p) {
 
 bool FractionalMlp::watch(PageId p, Level* i, double* x) const {
   if (p < 0 || p >= n_ || !Fresh(p)) return false;
-  if (rec_[static_cast<size_t>(p)].watch != WatchState::kArmed) {
-    return false;
-  }
+  if (!rec_[static_cast<size_t>(p)].watched) return false;
   const WatchRec& w = watch_[static_cast<size_t>(p)];
   if (i != nullptr) *i = w.level;
   if (x != nullptr) *x = w.x;
   return true;
 }
 
+int32_t FractionalMlp::WatchBucket(double key) {
+  // The biased exponent and the top four mantissa bits, counted from 1.0.
+  const int64_t b = static_cast<int64_t>(std::bit_cast<uint64_t>(key) >> 48) -
+                    (int64_t{1023} << 4);
+  return static_cast<int32_t>(std::clamp<int64_t>(b, 0, kWatchBuckets - 1));
+}
+
+void FractionalMlp::ListWatch(PageId p, WatchRec& w) {
+  const PageRec& rec = rec_[static_cast<size_t>(p)];
+  Group& g = groups_[static_cast<size_t>(rec.group_of)];
+  if (g.watch_base < 0) {
+    g.watch_base = static_cast<int32_t>(watch_head_.size());
+    g.watch_floor = kWatchBuckets - 1;
+    watch_head_.resize(watch_head_.size() + kWatchBuckets, -1);
+  }
+  w.key = (w.x + eta_) / rec.term;
+  const int32_t bucket = WatchBucket(w.key);
+  w.list = g.watch_base + bucket;
+  PageId& head = watch_head_[static_cast<size_t>(w.list)];
+  w.prev = -1;
+  w.next = head;
+  if (head >= 0) watch_[static_cast<size_t>(head)].prev = p;
+  head = p;
+  g.watch_floor = std::min(g.watch_floor, bucket);
+}
+
+void FractionalMlp::UnlistWatch(WatchRec& w) {
+  if (w.list < 0) return;
+  if (w.prev >= 0) {
+    watch_[static_cast<size_t>(w.prev)].next = w.next;
+  } else {
+    watch_head_[static_cast<size_t>(w.list)] = w.next;
+  }
+  if (w.next >= 0) watch_[static_cast<size_t>(w.next)].prev = w.prev;
+  w.list = -1;
+}
+
 void FractionalMlp::ClearWatch(PageId p) {
   PageRec& rec = rec_[static_cast<size_t>(p)];
-  if (rec.watch != WatchState::kArmed) return;
-  rec.watch = WatchState::kClear;
-  ++watch_[static_cast<size_t>(p)].gen;
-  --armed_watches_;
+  if (!rec.watched) return;
+  UnlistWatch(watch_[static_cast<size_t>(p)]);
+  rec.watched = false;
 }
 
 void FractionalMlp::FireWatch(PageId p) {
@@ -783,71 +861,97 @@ void FractionalMlp::FireWatch(PageId p) {
   fired_.push_back(p);
 }
 
-void FractionalMlp::RetimeWatch(PageId p, bool at_event) {
+void FractionalMlp::RetimeWatch(PageId p) {
   const PageRec& rec = rec_[static_cast<size_t>(p)];
-  if (rec.watch != WatchState::kArmed) return;
+  if (!rec.watched) return;
   WatchRec& w = watch_[static_cast<size_t>(p)];
-  ++w.gen;  // any earlier due time is stale
   if (rec.state != PageState::kActive) {
     // A cap event that departs the page raises u(p, i) to 1, past any
     // threshold below 1 (one at or above 1 can never be crossed).
-    if (at_event && w.x < 1.0) FireWatch(p);
+    if (w.x < 1.0) FireWatch(p);
     return;
   }
   if (w.level < rec.cursor) return;  // frozen: dormant
-  // u(p, i) shares the cursor's value u0 at s0 and rises from there. At a
-  // cap event a value already past x got there in this Serve (the rise to
-  // the cap, or a snap of a level within kEps of it): fire. A freshly
-  // armed threshold lies above the value except by fp rounding; it is then
-  // due at s0 and fires on the page's next rise.
-  if (at_event && rec.u0 > w.x) {
+  // u(p, i) shares the cursor's value u0, which got there in this Serve
+  // (the rise to the cap, or a snap of a level within kEps of it): a
+  // value already past x fires.
+  if (rec.u0 > w.x) {
     FireWatch(p);
     return;
   }
-  const double wt = instance_->weight(p, rec.cursor);
-  const double s = rec.u0 >= w.x
-                       ? rec.s0
-                       : rec.s0 + wt * std::log((w.x + eta_) /
-                                                (rec.u0 + eta_));
-  watch_heap_.push(Event{s, p, w.gen});
-  CompactWatchHeapIfNeeded();
-}
-
-void FractionalMlp::TimeArmedWatches() {
-  // Nothing here has changed since its ArmWatch: the page was not served
-  // (that clears its watch) and no cap event has run since the clock last
-  // moved. So each due time is the one ArmWatch would have computed.
-  for (const PageId p : untimed_) {
-    rec_[static_cast<size_t>(p)].untimed = false;
-    RetimeWatch(p, /*at_event=*/false);
-  }
-  untimed_.clear();
-}
-
-bool FractionalMlp::WatchEntryLive(const Event& e) const {
-  return rec_[static_cast<size_t>(e.page)].watch == WatchState::kArmed &&
-         watch_[static_cast<size_t>(e.page)].gen == e.gen;
+  ListWatch(p, w);
 }
 
 void FractionalMlp::DrainWatches() {
-  while (!watch_heap_.empty() && watch_heap_.top().s < clock_) {
-    const Event e = watch_heap_.top();
-    watch_heap_.pop();
-    if (WatchEntryLive(e)) FireWatch(e.page);
+  for (size_t j = 0; j < active_groups_.size(); ++j) {
+    Group& g = groups_[static_cast<size_t>(active_groups_[j])];
+    if (g.watch_base < 0) continue;
+    const double e1 = act_e1_[j];
+    const int32_t top = WatchBucket(e1);
+    // Every key in a bucket below e1's is below e1: those lists fire whole.
+    for (int32_t b = g.watch_floor; b < top; ++b) {
+      PageId& head = watch_head_[static_cast<size_t>(g.watch_base + b)];
+      for (PageId p = head; p >= 0;
+           p = watch_[static_cast<size_t>(p)].next) {
+        rec_[static_cast<size_t>(p)].watched = false;
+        fired_.push_back(p);
+      }
+      head = -1;
+    }
+    for (PageId p = watch_head_[static_cast<size_t>(g.watch_base + top)];
+         p >= 0;) {
+      const WatchRec& w = watch_[static_cast<size_t>(p)];
+      const PageId next = w.next;
+      if (w.key < e1) FireWatch(p);
+      p = next;
+    }
+    g.watch_floor = top;
   }
 }
 
-void FractionalMlp::CompactWatchHeapIfNeeded() {
-  if (watch_heap_.size() <= 1024 ||
-      watch_heap_.size() <= 8 * static_cast<size_t>(armed_watches_)) {
-    return;
+void FractionalMlp::ClosePhase(PageId p) {
+  // DetachAndMaterialize has just written p's values before this request
+  // into its u_ row. A page never requested has no phase (its u is 1
+  // everywhere), and a level whose snapped value did not move adds 0.
+  if (!rec_[static_cast<size_t>(p)].phased) return;
+  for (Level i = 1; i <= ell_; ++i) {
+    const double before = grid::Snap(u_[Idx(p, i)], delta_);
+    double& start = phase_[Idx(p, i)];
+    if (before == start) continue;
+    closed_phase_cost_ += instance_->weight(p, i) * (before - start);
+    start = before;
   }
-  const std::span<Event> entries = watch_heap_.entries();
-  const auto live_end = std::remove_if(
-      entries.begin(), entries.end(),
-      [&](const Event& e) { return !WatchEntryLive(e); });
-  watch_heap_.truncate(static_cast<size_t>(live_end - entries.begin()));
-  watch_heap_.heapify();
+}
+
+void FractionalMlp::OpenPhase(PageId p) {
+  // Charges the request's own snapped rises (a level snapped up to its
+  // cap) and opens the next phase at the served values.
+  for (Level i = 1; i <= ell_; ++i) {
+    const double after = grid::Snap(RawU(p, i), delta_);
+    const double before = phase_[Idx(p, i)];
+    if (after > before) {
+      closed_phase_cost_ += instance_->weight(p, i) * (after - before);
+    }
+    phase_[Idx(p, i)] = after;
+  }
+  PageRec& rec = rec_[static_cast<size_t>(p)];
+  if (!rec.phased) {
+    rec.phased = true;
+    phase_pages_.push_back(p);
+  }
+}
+
+Cost FractionalMlp::lp_cost() const {
+  if (delta_ <= 0.0) return lp_cost_;
+  // Between two requests of p the raw u(p, i) only rises, so an open
+  // phase's cost is w(p, i) times its snapped rise so far.
+  Cost cost = closed_phase_cost_;
+  for (const PageId p : phase_pages_) {
+    for (Level i = 1; i <= ell_; ++i) {
+      cost += instance_->weight(p, i) * (U(p, i) - phase_[Idx(p, i)]);
+    }
+  }
+  return cost;
 }
 
 }  // namespace wmlp

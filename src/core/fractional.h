@@ -56,6 +56,12 @@
 // The trajectory matches FractionalMlpReference to fp accuracy
 // (cross-checked to 1e-9 by tests/fractional_fast_test.cpp over randomized
 // instances).
+//
+// The §4.3 rounding's channels (FractionalPolicy below) are answered from
+// the same state: a threshold watch is keyed by its weight group's factor
+// e1 (see ArmWatch), and with FractionalOptions::delta set the solver
+// presents the Lemma 4.5 grid itself, by the rules of grid:: in
+// core/discretize.h.
 #pragma once
 
 #include <algorithm>
@@ -136,6 +142,10 @@ using FractionalPolicyPtr = std::unique_ptr<FractionalPolicy>;
 struct FractionalOptions {
   // eta in the update rate; 0 selects the paper's 1/k.
   double eta = 0.0;
+  // The Lemma 4.5 grid, read by FractionalMlp only: < 0 presents the raw
+  // solution (the default), 0 selects delta = 1/(4k) at Attach, and a
+  // value in (0, 1] is the grid itself.
+  double delta = -1.0;
   // If true, record a FracSchedule snapshot after every step (tests).
   bool record_schedule = false;
 };
@@ -148,28 +158,39 @@ class FractionalMlp final : public FractionalPolicy {
 
   void Attach(const Instance& instance) override;
   void Serve(Time t, const Request& r) override;
+  // On the grid when options.delta >= 0 (snapped on read).
   double U(PageId p, Level i) const override;
   void PrefetchPage(PageId p) const override;
-  Cost lp_cost() const override { return lp_cost_; }
-  std::string name() const override { return "fractional-mlp"; }
+  // On the grid, the snapped LP cost of the rise phases (as
+  // DiscretizedFractional charges it): O(pages requested so far * ell).
+  Cost lp_cost() const override;
+  std::string name() const override {
+    return options_.delta >= 0.0 ? "discretized(fractional-mlp)"
+                                 : "fractional-mlp";
+  }
 
-  // Watches live in the solver's clock coordinates: a watch on (p, i)
-  // with i at or below p's cursor is due at
-  //   s = s0 + w log((x + eta) / (u0 + eta)),
-  // pushed into a lazy-deletion heap next to the cap events; one above
-  // the cursor is dormant (u(p, i) is frozen) until a cap event moves the
-  // cursor up to it. Cap events and requests re-time the watch of the page
-  // they touch, so the work is O(log n) per watch event, never a walk of
-  // the active set. Only step 2 moves the clock, so a newly armed watch is
-  // timed at the start of the next Serve that evicts: while the cache is
-  // filling, arming costs no log and no heap push.
+  // A cursor page's live value is term * e1 - eta, so a watch on (p, i)
+  // with i at or below p's cursor is listed in its group under
+  // K = (x + eta) / term (one division) and fires at the end of the first
+  // Serve that raises the group's e1 above K; one above the cursor is
+  // dormant (u(p, i) is frozen) until a cap event moves the cursor up to
+  // it. A threshold at or below the live value when armed fires on the
+  // page's next rise: only a Serve that moves the clock fires listed
+  // watches. Cap events and requests re-key the watch of the page they
+  // touch and a group rebuild re-keys its members', so the work is O(1)
+  // per watch event, never a walk of the active set. K is relative to the
+  // group's base clock, so a clock renormalization leaves it as it is.
+  // On the grid the watch is "snapped u(p, i) > x", armed as its raw
+  // preimage (grid::WatchThreshold); x >= 1 disarms.
   void ArmWatch(PageId p, Level i, double x) override;
   void DisarmWatch(PageId p) override;
   std::span<const PageId> fired() const override { return fired_; }
+  // Reports the raw threshold (the preimage, on the grid).
   bool watch(PageId p, Level* i, double* x) const override;
 
   // O(G + C) from the weight-group aggregates plus per-class sums of the
-  // frozen marginals, which change only when a page's cursor moves.
+  // frozen marginals, which change only when a page's cursor moves. On the
+  // grid the band widens by the snap error, present_pages * delta.
   void ClassSuffixMass(const Instance& instance, std::span<double> lo,
                        std::span<double> hi) const override;
   int64_t present_pages(const Instance& /*instance*/) const override {
@@ -179,6 +200,8 @@ class FractionalMlp final : public FractionalPolicy {
   // Recorded schedule (only if options.record_schedule).
   const FracSchedule& schedule() const { return schedule_; }
   double eta() const { return eta_; }
+  // The grid resolved at Attach; 0 when the solution is raw.
+  double delta() const { return delta_; }
 
   // The Section 4.2 analysis quantity: cumulative y-movement cost
   // sum w(q, i_q) * |dy(q, i_q)| over step-2 evictions (the LP cost above
@@ -193,6 +216,9 @@ class FractionalMlp final : public FractionalPolicy {
   int64_t bisection_fallbacks() const { return bisection_fallbacks_; }
   // GainRateBatch passes, the solver's only expm1 work per segment.
   int64_t gain_evaluations() const { return gain_evaluations_; }
+  int64_t group_rebuilds() const { return group_rebuilds_; }
+  // Exact e1 recomputations (RefreshE1).
+  int64_t e1_refreshes() const { return accrue_count_ / kE1RefreshInterval; }
   int32_t num_weight_groups() const {
     return static_cast<int32_t>(groups_.size());
   }
@@ -203,8 +229,8 @@ class FractionalMlp final : public FractionalPolicy {
   // mass sum A = sum term_q, the LP sum B = sum c_q term_q, and the shared
   // factor e1 = e^{(S - base_s)/w} — live in the parallel act_* SoA arrays
   // at index active_pos while the group is non-empty (see the act_*
-  // comment below); the struct itself keeps only membership and the base
-  // clock. The sums are rebuilt from members before exponents can overflow
+  // comment below); the struct itself keeps membership, the base clock and
+  // where its watch lists are. The sums are rebuilt from members before exponents can overflow
   // and periodically to shed removal cancellation error.
   struct Group {
     double w = 0.0;
@@ -213,6 +239,11 @@ class FractionalMlp final : public FractionalPolicy {
     std::vector<PageId> members;
     int64_t removals = 0;   // since last rebuild
     int32_t active_pos = -1;  // index in active_groups_ / act_*, -1 if empty
+    // Its kWatchBuckets list heads in watch_head_, from its first listed
+    // watch on (-1 before: a solver run without watches holds none), and
+    // the lowest bucket that may hold a watch.
+    int32_t watch_base = -1;
+    int32_t watch_floor = 0;
   };
 
   struct Event {
@@ -227,9 +258,6 @@ class FractionalMlp final : public FractionalPolicy {
   };
 
   enum class PageState : uint8_t { kAbsent, kActive, kDetached };
-  // A page's watch this Attach epoch: kNever leaves its WatchRec
-  // unwritten, kClear means its gen is valid but nothing is armed.
-  enum class WatchState : uint8_t { kNever, kClear, kArmed };
 
   // Hot per-page solver state packed into one cache line (64 bytes). The
   // serve path touches u0/s0/cursor/state/gen for every page it visits;
@@ -252,21 +280,35 @@ class FractionalMlp final : public FractionalPolicy {
     int32_t pos_in_group;
     Level cursor;
     PageState state;
-    WatchState watch;
-    bool untimed;  // listed in untimed_
+    bool watched;  // a watch is armed (its WatchRec is valid)
+    bool phased;   // on the grid: requested this epoch (phase_pages_)
   };
   static_assert(sizeof(PageRec) == 64, "PageRec must fill one cache line");
 
-  // A page's threshold watch, read only once PageRec::watch left kNever —
-  // so a run without watches never touches this array, which is allocated
-  // uninitialized. gen invalidates the page's earlier watch-heap entries
-  // (the heap reuses Event); it starts at 0 on a page's first arm in an
-  // epoch, when the heap holds no entry for the page.
+  // A page's threshold watch, read only while PageRec::watched — so a run
+  // without watches never touches this array, which is allocated
+  // uninitialized. A listed watch is a node of its list, linked through
+  // the pages' records, so listing and unlisting allocate nothing.
   struct WatchRec {
-    double x;
-    uint32_t gen;
+    double x;      // raw threshold
+    double key;    // K = (x + eta) / term while listed
+    PageId next;   // neighbours in its list, -1 at either end
+    PageId prev;
+    int32_t list;  // its list's head in watch_head_, -1 while not listed
     Level level;
   };
+  // Watch lists per weight group: bucket b holds the keys whose exponent
+  // and top four mantissa bits give b (sixteen buckets per octave, so the
+  // bucket e1 sits in holds about one watch), K < 1 + 1/16 in bucket 0
+  // and K >= 2^12 in the last. e1 stays below e^kMaxGroupExp (< 2^12)
+  // between rebuilds, so the last bucket waits for a re-key.
+  static constexpr int32_t kWatchBuckets = 16 * 12 + 1;
+  static int32_t WatchBucket(double key);
+  // Exact e1 refresh cadence (see RefreshE1): the incremental advance
+  // drifts by ~1 ulp per accrual, so 1024 accruals keep the accumulated
+  // drift near 1e-13 — well under kEps — while the refresh's ExpBatch cost
+  // is amortized to ~1/1024 exp per group per segment.
+  static constexpr int64_t kE1RefreshInterval = 1024;
 
   size_t Idx(PageId p, Level i) const {
     return static_cast<size_t>(p) * static_cast<size_t>(ell_) +
@@ -296,10 +338,13 @@ class FractionalMlp final : public FractionalPolicy {
       rec.pos_in_group = -1;
       rec.cursor = 0;
       rec.state = PageState::kAbsent;
-      rec.watch = WatchState::kNever;
-      rec.untimed = false;
-      double* u = u_.get() + sp * static_cast<size_t>(ell_);
-      std::fill(u, u + ell_, 1.0);
+      rec.watched = false;
+      rec.phased = false;
+      const size_t row = sp * static_cast<size_t>(ell_);
+      std::fill(u_.get() + row, u_.get() + row + ell_, 1.0);
+      if (delta_ > 0.0) {
+        std::fill(phase_.get() + row, phase_.get() + row + ell_, 1.0);
+      }
     }
     return rec;
   }
@@ -308,12 +353,14 @@ class FractionalMlp final : public FractionalPolicy {
   }
   // Live value of u(p, cursor..ell) for an active page, clamped to its cap.
   double DynamicU(PageId p) const;
+  // u(p, i) off the grid.
+  double RawU(PageId p, Level i) const;
   double SuffixWeight(PageId p, Level from) const;
 
   int32_t GroupIndexFor(double w);
   void GroupInsert(PageId p);
   void GroupRemove(PageId p);
-  void RebuildGroup(Group& g);
+  void RebuildGroup(int32_t gi);
   void RebaseGroupsTo(double s_horizon);
 
   // Recomputes every active group's e1 = e^{(clock_ - base_s)/w} exactly
@@ -334,7 +381,8 @@ class FractionalMlp final : public FractionalPolicy {
   // clock can sit at ~w_max * log(1/eta)). Quantities near the clock shift
   // exactly (Sterbenz); far ones belong to proportionally heavy weights,
   // which absorb the O(ulp(clock)) shift error as O(ulp(clock)/w) in the
-  // exponent.
+  // exponent. Terms, e1 factors and watch keys are differences of clocks,
+  // so they stay as they are.
   void RenormalizeClock();
 
   // Total absent mass sum_p u(p, ell) at the current clock, evaluated
@@ -367,18 +415,23 @@ class FractionalMlp final : public FractionalPolicy {
   // cursor's cap (in its group's class). Needs p's group membership.
   void AddClassMass(PageId p, double sign);
 
-  // Re-times p's watch after its cursor or values changed: at a cap event
-  // fires it if u(p, i) now exceeds x, pushes its due time if i is at or
-  // below the cursor, leaves it dormant otherwise.
-  void RetimeWatch(PageId p, bool at_event);
+  // Re-keys p's armed watch after its cap event: fires it if u(p, i) now
+  // exceeds x, lists it under its new group's K if i is at or below the
+  // new cursor, leaves it dormant otherwise.
+  void RetimeWatch(PageId p);
+  // Lists p's watch in its group under K = (x + eta) / term.
+  void ListWatch(PageId p, WatchRec& w);
+  // Takes p's watch off its list, if it is listed.
+  void UnlistWatch(WatchRec& w);
   void FireWatch(PageId p);
   void ClearWatch(PageId p);
-  // Times the watches armed since the clock last moved (see ArmWatch).
-  void TimeArmedWatches();
-  // Fires every watch due strictly before the clock.
+  // Fires every listed watch whose key its group's e1 now exceeds; run at
+  // the end of a Serve that raised the water.
   void DrainWatches();
-  bool WatchEntryLive(const Event& e) const;
-  void CompactWatchHeapIfNeeded();
+  // The grid's rise phases (see lp_cost): close p's at its pre-request
+  // values, and charge the request's own snapped rises after it is served.
+  void ClosePhase(PageId p);
+  void OpenPhase(PageId p);
   // Adds the counts below to their registry counters and zeroes them, on
   // re-Attach and destruction, so Serve makes no registry call.
   void PublishCounts();
@@ -448,14 +501,21 @@ class FractionalMlp final : public FractionalPolicy {
   // The request being served; it is detached for the whole of step 2.
   PageId req_page_ = -1;
 
-  // Threshold watches: per-page records, the pages armed but not yet
-  // timed, their due times, the armed count (heap compaction), and the
-  // last Serve's fired pages.
+  // Threshold watches: per-page records, each list's first page (-1 when
+  // empty; Group::watch_base + bucket), and the last Serve's fired pages.
   std::unique_ptr<WatchRec[]> watch_;
-  std::vector<PageId> untimed_;
-  DHeap<Event, EventBefore> watch_heap_;
-  int64_t armed_watches_ = 0;
+  std::vector<PageId> watch_head_;
   std::vector<PageId> fired_;
+
+  // The Lemma 4.5 grid (0 when raw) and its rise phases: per (page,
+  // level) the snapped u at the page's last request, rows materialized
+  // with the page's record, the pages requested this epoch, and the cost
+  // of the phases already closed.
+  double delta_ = 0.0;
+  std::unique_ptr<double[]> phase_;
+  size_t phase_cap_ = 0;
+  std::vector<PageId> phase_pages_;
+  Cost closed_phase_cost_ = 0.0;
 
   // Per weight class, the active pages' fixed marginals: frozen
   // u(p, i-1) - u(p, i) above the cursor, plus the cap u(p, cursor-1) of

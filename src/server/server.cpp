@@ -244,9 +244,9 @@ ServeReport ServeTrace(const Trace& trace, const ServeOptions& options) {
   // telemetry reads the meters, it never feeds back into the report.
   metrics.PublishTelemetry();
   metrics.PublishWatchdogs();
-  telemetry::Registry::Get()
-      .GetGauge("wmlp_serve_last_wall_seconds")
-      .Set(wall_seconds);
+  static telemetry::Gauge& last_wall =
+      telemetry::Registry::Get().GetGauge("wmlp_serve_last_wall_seconds");
+  last_wall.Set(wall_seconds);
   return report;
 }
 

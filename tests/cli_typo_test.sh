@@ -37,6 +37,10 @@ expect --lenght "$tools/wmlp_tracegen" --lenght 10 --out "$dir/t.wmlp"
 expect stray "$tools/wmlp_tracegen" --out "$dir/t.wmlp" stray
 expect --length "$tools/wmlp_tracegen" --length 10 --length 20 \
   --out "$dir/t.wmlp"
+expect --alpha "$tools/wmlp_tracegen" --kind uniform --alpha 0.5 \
+  --out "$dir/t.wmlp"
+expect --ell "$tools/wmlp_tracegen" --kind wadv --mix uniform --ell 3 \
+  --out "$dir/t.wmlp"
 
 expect --trails "$tools/wmlp_run" --trace "$trace" --trails 5
 expect stray "$tools/wmlp_run" --trace "$trace" stray

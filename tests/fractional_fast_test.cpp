@@ -1,9 +1,11 @@
 // Randomized equivalence suite: the output-sensitive FractionalMlp must
 // reproduce the FractionalMlpReference trajectory — full u state and both
 // cost meters — to 1e-9 after every step, across instance shapes, weight
-// models, trace generators, and the E8 eta-ablation values. Plus unit
-// tests for the shared stopping-clock root finder and a regression test on
-// near-degenerate weight spreads.
+// models, trace generators, and the E8 eta-ablation values; its watches
+// must fire on the reference's requests, and its folded Lemma 4.5 grid
+// must present exactly what DiscretizedFractional presents over it. Plus
+// unit tests for the shared stopping-clock root finder and a regression
+// test on near-degenerate weight spreads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/discretize.h"
 #include "core/fractional.h"
 #include "core/fractional_reference.h"
 #include "core/stopping_clock.h"
@@ -149,9 +152,10 @@ TEST(FractionalFast, MatchesReferenceOnNearDegenerateWeights) {
 // distance above its value, as the rounding does — and checks they fire on
 // the same request. Returns the number of agreeing firings. A threshold
 // within 1e-7 of the value it is judged on may fall either way between
-// trajectories that agree to 1e-9, so those pages are left out.
-int64_t ExpectWatchesFireInLockstep(const Trace& trace, uint64_t seed) {
-  FractionalMlp fast;
+// trajectories that agree to 1e-9, so those pages are left out. The fast
+// solver is the caller's, so its counters can be read afterwards.
+int64_t ExpectWatchesFireInLockstep(const Trace& trace, uint64_t seed,
+                                    FractionalMlp& fast) {
   FractionalMlpReference ref;
   fast.Attach(trace.instance);
   ref.Attach(trace.instance);
@@ -191,9 +195,30 @@ int64_t ExpectWatchesFireInLockstep(const Trace& trace, uint64_t seed) {
   return fired_total;
 }
 
+int64_t ExpectWatchesFireInLockstep(const Trace& trace, uint64_t seed) {
+  FractionalMlp fast;
+  return ExpectWatchesFireInLockstep(trace, seed, fast);
+}
+
+// The traces the watch lockstep runs: 60 random shapes, then three long
+// heavy-weight ones that renormalize the clock many times over.
+std::vector<Trace> WatchLockstepTraces() {
+  std::vector<Trace> traces;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    traces.push_back(MakeRandomTrace(seed));
+  }
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    Instance inst(24, 6, 2,
+                  MakeWeights(24, 2, WeightModel::kLogUniform, 1e3, seed));
+    traces.push_back(
+        GenZipf(inst, 3000, 0.6, LevelMix::UniformMix(2), seed + 7));
+  }
+  return traces;
+}
+
 TEST(FractionalFast, WatchesFireOnTheSameRequestAsReference) {
-  // The fast solver fires watches on its clock, the reference on its
-  // change list; both must fire on the same request.
+  // The fast solver fires watches on its groups' factors, the reference on
+  // its change list; both must fire on the same request.
   int64_t fired_total = 0;
   for (uint64_t seed = 0; seed < 60; ++seed) {
     fired_total += ExpectWatchesFireInLockstep(MakeRandomTrace(seed), seed);
@@ -203,16 +228,162 @@ TEST(FractionalFast, WatchesFireOnTheSameRequestAsReference) {
 
 TEST(FractionalFast, WatchesSurviveClockRenormalization) {
   // Heavy weights advance the water clock past the renormalization
-  // threshold many times over a long trace; armed watches shift with it.
+  // threshold many times over a long trace; watch keys are relative to
+  // their group's base clock, so they need no shift.
+  const std::vector<Trace> traces = WatchLockstepTraces();
   int64_t fired_total = 0;
   for (uint64_t seed = 0; seed < 3; ++seed) {
-    Instance inst(24, 6, 2,
-                  MakeWeights(24, 2, WeightModel::kLogUniform, 1e3, seed));
-    const Trace trace =
-        GenZipf(inst, 3000, 0.6, LevelMix::UniformMix(2), seed + 7);
-    fired_total += ExpectWatchesFireInLockstep(trace, seed);
+    fired_total += ExpectWatchesFireInLockstep(traces[60 + seed], seed);
   }
   EXPECT_GT(fired_total, 1000);
+}
+
+TEST(FractionalFast, WatchesSurviveRebuildsRefreshesAndGroupMoves) {
+  // Level-determined weights put each level in its own group, so a cap
+  // event moves a watched page's cursor to another group. Two groups of a
+  // dozen members rebuild every few dozen removals (re-keying every listed
+  // watch), and thousands of segments cross the exact-e1 refresh cadence,
+  // all with a watch on nearly every cached page.
+  Instance inst(32, 8, 2,
+                MakeWeights(32, 2, WeightModel::kGeometricLevels, 4.0, 21));
+  const Trace trace =
+      GenZipf(inst, 4000, 0.6, LevelMix::UniformMix(2), 22);
+  FractionalMlp fast;
+  EXPECT_GT(ExpectWatchesFireInLockstep(trace, 23, fast), 1000);
+  EXPECT_EQ(fast.num_weight_groups(), 2);
+  EXPECT_GT(fast.group_rebuilds(), 10);
+  EXPECT_GT(fast.e1_refreshes(), 1);
+  EXPECT_GT(fast.events_processed(), 1000);
+}
+
+TEST(FractionalFast, WatchAtItsValueWaitsForTheNextRise) {
+  // Pages 0 and 1 hold half a unit each after request 2. A watch armed at
+  // a page's live value, or below it, fires on the page's next rise: not
+  // in a Serve that leaves the clock where it was (the repeated request
+  // to page 2), but in the next one that evicts (page 3).
+  const Instance inst = Instance::Uniform(4, 2);
+  FractionalMlp fast;
+  FractionalMlpReference ref;
+  fast.Attach(inst);
+  ref.Attach(inst);
+  Time t = 0;
+  for (const PageId p : {0, 1, 2}) {
+    fast.Serve(t, Request{p, 1});
+    ref.Serve(t, Request{p, 1});
+    ++t;
+  }
+  ASSERT_NEAR(fast.U(0, 1), 0.5, 1e-12);
+  ASSERT_NEAR(fast.U(1, 1), 0.5, 1e-12);
+  for (FractionalPolicy* frac : {static_cast<FractionalPolicy*>(&fast),
+                                 static_cast<FractionalPolicy*>(&ref)}) {
+    frac->ArmWatch(0, 1, fast.U(0, 1));
+    frac->ArmWatch(1, 1, 0.25);
+  }
+  const int64_t segments = fast.segments_solved();
+  fast.Serve(t, Request{2, 1});
+  ref.Serve(t, Request{2, 1});
+  ++t;
+  EXPECT_EQ(fast.segments_solved(), segments);  // the clock stayed put
+  EXPECT_TRUE(fast.fired().empty());
+  EXPECT_TRUE(ref.fired().empty());
+  fast.Serve(t, Request{3, 1});
+  ref.Serve(t, Request{3, 1});
+  const std::vector<PageId> both = {0, 1};
+  EXPECT_EQ(std::vector<PageId>(fast.fired().begin(), fast.fired().end()),
+            both);
+  EXPECT_EQ(std::vector<PageId>(ref.fired().begin(), ref.fired().end()),
+            both);
+}
+
+// The folded grid against the wrapper it replaces on the default engine,
+// DiscretizedFractional over a raw FractionalMlp at the same delta (0
+// selects 1/(4k)), carrying the same watches as the rounding arms them:
+// in [u, u above) after every request, at u when the draw says so, and
+// at 1 (which disarms) now and then. Both run one raw trajectory, so U,
+// fired() and the class-mass bands agree bit for bit, and the snapped LP
+// cost to 1e-12 relative. Returns the number of firings.
+int64_t ExpectFoldedGridMatchesWrapper(const Trace& trace, double delta,
+                                       uint64_t seed) {
+  const Instance& inst = trace.instance;
+  FractionalOptions opts;
+  opts.delta = delta;
+  FractionalMlp folded(opts);
+  DiscretizedFractional wrapped(std::make_unique<FractionalMlp>(), delta);
+  folded.Attach(inst);
+  wrapped.Attach(inst);
+  EXPECT_EQ(folded.delta(), wrapped.delta());
+  EXPECT_EQ(folded.name(), wrapped.name());
+  const size_t classes =
+      static_cast<size_t>(WeightClasses(inst).num_classes());
+  std::vector<double> lo_f(classes), hi_f(classes);
+  std::vector<double> lo_w(classes), hi_w(classes);
+  Rng rng(seed + 5);
+  const std::string label =
+      "seed " + std::to_string(seed) + " delta " + std::to_string(delta);
+  int64_t fired = 0;
+  for (Time t = 0; t < trace.length(); ++t) {
+    const Request& r = trace.requests[static_cast<size_t>(t)];
+    folded.Serve(t, r);
+    wrapped.Serve(t, r);
+    if (!std::ranges::equal(folded.fired(), wrapped.fired())) {
+      ADD_FAILURE() << label << " fired() differs at t=" << t;
+      return fired;
+    }
+    fired += static_cast<int64_t>(folded.fired().size());
+    for (PageId p = 0; p < inst.num_pages(); ++p) {
+      for (Level i = 1; i <= inst.num_levels(); ++i) {
+        if (folded.U(p, i) != wrapped.U(p, i)) {
+          ADD_FAILURE() << label << " u(" << p << "," << i << ") t=" << t
+                        << ": " << folded.U(p, i) << " vs "
+                        << wrapped.U(p, i);
+          return fired;
+        }
+      }
+    }
+    folded.ClassSuffixMass(inst, lo_f, hi_f);
+    wrapped.ClassSuffixMass(inst, lo_w, hi_w);
+    if (lo_f != lo_w || hi_f != hi_w) {
+      ADD_FAILURE() << label << " class-mass band differs at t=" << t;
+      return fired;
+    }
+    if (std::abs(folded.lp_cost() - wrapped.lp_cost()) >
+        1e-12 * std::abs(wrapped.lp_cost())) {
+      ADD_FAILURE() << label << " lp_cost " << folded.lp_cost() << " vs "
+                    << wrapped.lp_cost() << " at t=" << t;
+      return fired;
+    }
+    const double u = wrapped.U(r.page, r.level);
+    const double above =
+        r.level == 1 ? 1.0 : wrapped.U(r.page, r.level - 1);
+    const double draw = rng.NextDouble();
+    const double x = draw < 0.1    ? u
+                     : draw > 0.95 ? 1.0
+                                   : u + (above - u) * rng.NextDouble();
+    folded.ArmWatch(r.page, r.level, x);
+    wrapped.ArmWatch(r.page, r.level, x);
+    Level level_f = 0, level_w = 0;
+    double x_f = 0.0, x_w = 0.0;
+    const bool armed_f = folded.watch(r.page, &level_f, &x_f);
+    if (armed_f != wrapped.watch(r.page, &level_w, &x_w) ||
+        (armed_f && (level_f != level_w || x_f != x_w))) {
+      ADD_FAILURE() << label << " watch on " << r.page << " differs at t="
+                    << t;
+      return fired;
+    }
+  }
+  return fired;
+}
+
+TEST(FractionalFast, FoldedGridMatchesTheWrapper) {
+  const std::vector<Trace> traces = WatchLockstepTraces();
+  for (const double delta : {0.0, 0.25}) {
+    int64_t fired = 0;
+    for (size_t s = 0; s < traces.size(); ++s) {
+      fired += ExpectFoldedGridMatchesWrapper(traces[s], delta, s);
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(fired, 1000) << "delta " << delta;
+  }
 }
 
 TEST(FractionalFast, OutputSensitiveCountersAdvance) {

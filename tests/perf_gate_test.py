@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Tests for scripts/perf.py's gate and schema check on synthetic run
-documents, and for its extraction of the parent's tree; no binaries are
-built or run."""
+"""Tests for scripts/perf.py's gates and schema check on synthetic run
+documents and servebench pairs, and for its extraction of the parent's
+tree; no binaries are built or run."""
 
 import contextlib
 import copy
@@ -196,6 +196,124 @@ class CheckTest(unittest.TestCase):
                                "/nonexistent/run.json"],
                               capture_output=True, text=True)
         self.assertEqual(done.returncode, 2)
+
+
+SERVE_METRICS = [
+    {"name": "serve_ns_per_req", "better": "lower", "bound": 0.2},
+    {"name": "run_ns_per_req", "better": "lower", "bound": 0.25},
+    {"name": "evict_cost_per_req", "better": "lower", "bound": 0.1},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+]
+
+
+def serve_result(run_ns, cost=2.5, correct=True, failed=0, seed=1):
+    return {"correct": correct, "attempted": 1000, "failed": failed,
+            "seed": seed,
+            "metrics": {"serve_ns_per_req": 600.0, "run_ns_per_req": run_ns,
+                        "evict_cost_per_req": cost, "setup_s": 2e-4}}
+
+
+def serve_pairs(parent_ns, change_ns):
+    return [(serve_result(p, seed=i), serve_result(c, seed=i))
+            for i, (p, c) in enumerate(zip(parent_ns, change_ns))]
+
+
+# Ten parent runs with quartiles 1010/1050/1090 (IQR 80).
+PARENT_NS = [950, 1000, 1000, 1040, 1040, 1060, 1060, 1100, 1100, 1200]
+
+
+class ServeGateTest(unittest.TestCase):
+    def gate(self, pairs, **kwargs):
+        return perf.serve_gate({"randomized-levels": pairs}, SERVE_METRICS,
+                               **kwargs)
+
+    def test_quartiles_interpolate_between_order_statistics(self):
+        self.assertEqual(perf.quartiles([5, 1, 4, 2, 3]), (2, 3, 4))
+        self.assertEqual(perf.quartiles([7.0]), (7.0, 7.0, 7.0))
+        self.assertEqual(perf.quartiles(PARENT_NS), (1010.0, 1050.0, 1090.0))
+        self.assertEqual(perf.quartiles([1, 2, 3, 4]), (1.75, 2.5, 3.25))
+
+    def test_summary_counts_strict_wins_and_the_parent_iqr(self):
+        change = [p - 10 for p in PARENT_NS[:8]] + PARENT_NS[8:]
+        s = perf.serve_summary(serve_pairs(PARENT_NS, change),
+                               "run_ns_per_req", "lower")
+        self.assertEqual(s["wins"], 8)
+        self.assertEqual(s["pairs"], 10)
+        self.assertAlmostEqual(s["parent_iqr"], 80.0)
+        self.assertAlmostEqual(s["ratio"], 1040.0 / 1050.0)
+        higher = perf.serve_summary(serve_pairs(PARENT_NS, change),
+                                    "run_ns_per_req", "higher")
+        self.assertEqual(higher["wins"], 0)
+
+    def test_identical_pairs_pass(self):
+        self.assertEqual(self.gate(serve_pairs(PARENT_NS, PARENT_NS)), [])
+
+    def test_incorrect_or_failed_run_fails(self):
+        pairs = serve_pairs(PARENT_NS, PARENT_NS)
+        pairs[3][1]["correct"] = False
+        pairs[5][0]["failed"] = 2
+        failures = self.gate(pairs)
+        self.assertEqual(len(failures), 2)
+        self.assertIn("pair 3: the change run", failures[0])
+        self.assertIn("pair 5: the parent run", failures[1])
+
+    def test_cost_differing_in_one_pair_fails_unless_declared(self):
+        pairs = serve_pairs(PARENT_NS, PARENT_NS)
+        pairs[2][1]["metrics"]["evict_cost_per_req"] = 2.5000001
+        failures = self.gate(pairs)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("pair 2: evict_cost_per_req", failures[0])
+        self.assertEqual(self.gate(pairs, changes_cost=True), [])
+
+    def test_median_past_the_bound_fails_unless_timing_is_not_gated(self):
+        slower = [p * 1.3 for p in PARENT_NS]
+        failures = self.gate(serve_pairs(PARENT_NS, slower))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("run_ns_per_req", failures[0])
+        self.assertIn("1.300x", failures[0])
+        self.assertEqual(self.gate(serve_pairs(PARENT_NS, slower),
+                                   gate_timing=False), [])
+        inside = [p * 1.2 for p in PARENT_NS]
+        self.assertEqual(self.gate(serve_pairs(PARENT_NS, inside)), [])
+
+    def test_claim_needs_nine_of_ten_wins_and_a_gap_past_the_iqr(self):
+        claim = [("randomized-levels", "run_ns_per_req")]
+        won = [p - 200 for p in PARENT_NS[:9]] + [PARENT_NS[9] + 1]
+        self.assertEqual(
+            self.gate(serve_pairs(PARENT_NS, won), claims=claim), [])
+        eight = [p - 200 for p in PARENT_NS[:8]] + PARENT_NS[8:]
+        failures = self.gate(serve_pairs(PARENT_NS, eight), claims=claim)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("won 8 of 10 pairs (need 9)", failures[0])
+        narrow = [p - 50 for p in PARENT_NS]  # every pair, inside the IQR
+        failures = self.gate(serve_pairs(PARENT_NS, narrow), claims=claim)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("parent IQR of 80", failures[0])
+
+    def test_claim_on_an_unknown_metric_or_workload_fails(self):
+        pairs = serve_pairs(PARENT_NS, PARENT_NS)
+        failures = self.gate(pairs, claims=[("randomized-levels", "hits")])
+        self.assertIn("not an end-to-end metric", failures[0])
+        failures = self.gate(pairs, claims=[("randomized-pages",
+                                             "run_ns_per_req")])
+        self.assertIn("did not run", failures[0])
+
+    def test_table_prints_quartiles_ratio_wins_and_every_pair(self):
+        change = [p - 100 for p in PARENT_NS]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            perf.print_serve_table(
+                {"randomized-levels": serve_pairs(PARENT_NS, change)},
+                SERVE_METRICS)
+        text = out.getvalue()
+        self.assertIn("randomized-levels: 10 pairs, seeds 0..9", text)
+        row = next(l for l in text.splitlines()
+                   if l.strip().startswith("run_ns_per_req "))
+        self.assertIn("1010/1050/1090", row)
+        self.assertIn("910/950/990", row)
+        self.assertIn("0.905", row)
+        self.assertIn("10/10", row)
+        self.assertIn("run_ns_per_req per pair: 950->850; 1000->900", text)
 
 
 @unittest.skipUnless(shutil.which("git") and shutil.which("tar"),

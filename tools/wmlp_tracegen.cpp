@@ -7,12 +7,14 @@
 //
 // Kinds: zipf, uniform, loop (--loop-size), phases (--ws-size,
 // --phase-len), scan (--scan-len, --scan-prob), markov (--stay, --window),
-// wadv (weighted adversary; ignores --n/--ell), multigran (--chunks,
-// --sectors, --chunk-prob; ignores --n/--ell).
+// wadv (weighted adversary over k + 1 pages at ratio --ratio), multigran
+// (--chunks, --sectors, --chunk-prob).
 // Weights: uniform, geometric, zipfpages, loguniform.
 // Mix: lowest, uniform, rw:<write_ratio> (in [0, 1]), geo:<decay> (> 0).
-// Any other flag, a repeated flag, a stray argument or a kind's flag with
-// another --kind exits 2.
+// Any other flag, a repeated flag, a stray argument or a flag the chosen
+// --kind does not read exits 2: --alpha with uniform, loop or wadv;
+// --n, --ell, --weights and --mix with wadv or multigran; --ratio with
+// multigran; and each kind's own flags with any other kind.
 #include <iostream>
 
 #include "tool_util.h"
@@ -81,6 +83,15 @@ int main(int argc, char** argv) {
   flags.OnlyInMode(kind == "markov", "--kind markov", {"stay", "window"});
   flags.OnlyInMode(kind == "multigran", "--kind multigran",
                    {"chunks", "sectors", "chunk-prob"});
+  flags.OnlyInMode(kind != "uniform" && kind != "loop" && kind != "wadv",
+                   "--kind zipf, phases, scan, markov or multigran",
+                   {"alpha"});
+  flags.OnlyInMode(kind != "wadv" && kind != "multigran",
+                   "a --kind other than wadv and multigran (they build "
+                   "their own pages)",
+                   {"n", "ell", "weights", "mix"});
+  flags.OnlyInMode(kind != "multigran", "a --kind other than multigran",
+                   {"ratio"});
   // Every numeric flag is range-checked (tool_util.h convention): the
   // upper bounds double as the int32 narrowing guard for the casts below.
   const int32_t n =
