@@ -10,13 +10,13 @@
 // grids; rounding quality is insensitive to delta until the grid gets very
 // coarse (delta ~ 1/k).
 //
-// The fractional costs are the stack's own (FractionalMlp presenting the
-// grid itself), on the class-ceiling weights the randomized policy attaches
-// it to; the rounded costs are at the real weights.
+// The fractional costs are the stack's own, on the class-ceiling weights
+// the randomized policy attaches it to; the rounded costs are at the real
+// weights.
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/fractional.h"
+#include "core/discretize.h"
 #include "core/randomized.h"
 #include "core/rounding_multilevel.h"
 #include "core/weight_classes.h"
@@ -36,19 +36,14 @@ int main(int argc, char** argv) {
   const Trace trace = GenZipf(inst, args.Scale(8000, 1500), 0.8,
                               LevelMix::AllLowest(1), 2);
 
-  // Fractional cost on the grid delta (< 0: none, the exact cost).
+  // Exact fractional cost (no discretization).
+  FractionalMlp exact;
   const ClassCeilingInstance stack_inst(inst);
-  const auto frac_cost = [&](double delta) {
-    FractionalOptions fo;
-    fo.delta = delta;
-    FractionalMlp frac(fo);
-    frac.Attach(stack_inst.get());
-    for (Time t = 0; t < trace.length(); ++t) {
-      frac.Serve(t, trace.requests[static_cast<size_t>(t)]);
-    }
-    return frac.lp_cost();
-  };
-  const Cost exact_cost = frac_cost(-1.0);
+  exact.Attach(stack_inst.get());
+  for (Time t = 0; t < trace.length(); ++t) {
+    exact.Serve(t, trace.requests[static_cast<size_t>(t)]);
+  }
+  const Cost exact_cost = exact.lp_cost();
 
   Table table({"delta", "frac-cost", "frac/exact", "rounded", "resets"});
   struct DeltaCase {
@@ -59,7 +54,19 @@ int main(int argc, char** argv) {
        {DeltaCase{"exact", -1.0}, DeltaCase{"1/(16k)", 1.0 / (16.0 * dk)},
         DeltaCase{"1/(4k)", 1.0 / (4.0 * dk)},
         DeltaCase{"1/k", 1.0 / dk}, DeltaCase{"1/4", 0.25}}) {
-    const Cost cost = dc.delta < 0.0 ? exact_cost : frac_cost(dc.delta);
+    // Fractional cost at this grid.
+    Cost frac_cost;
+    if (dc.delta < 0.0) {
+      frac_cost = exact_cost;
+    } else {
+      DiscretizedFractional disc(std::make_unique<FractionalMlp>(),
+                                 dc.delta);
+      disc.Attach(stack_inst.get());
+      for (Time t = 0; t < trace.length(); ++t) {
+        disc.Serve(t, trace.requests[static_cast<size_t>(t)]);
+      }
+      frac_cost = disc.lp_cost();
+    }
     // Rounded cost at this grid.
     RunningStat rounded, resets;
     for (int s = 0; s < trials; ++s) {
@@ -70,8 +77,8 @@ int main(int argc, char** argv) {
       rounded.Add(Simulate(trace, p).eviction_cost);
       resets.Add(static_cast<double>(p.reset_evictions()));
     }
-    table.AddRow({dc.label, Fmt(cost, 0), Fmt(cost / exact_cost, 3),
-                  Fmt(rounded.mean(), 0),
+    table.AddRow({dc.label, Fmt(frac_cost, 0),
+                  Fmt(frac_cost / exact_cost, 3), Fmt(rounded.mean(), 0),
                   Fmt(resets.mean(), 1)});
   }
   bench::EmitTable(args, "e10", "delta_ablation", table);

@@ -1,6 +1,7 @@
 #include "core/discretize.h"
 
-#include <utility>
+#include <algorithm>
+#include <cmath>
 
 #include "util/check.h"
 
@@ -15,7 +16,9 @@ DiscretizedFractional::DiscretizedFractional(FractionalPolicyPtr inner,
 
 void DiscretizedFractional::Attach(const Instance& instance) {
   instance_ = &instance;
-  delta_ = grid::Resolve(requested_delta_, instance.cache_size());
+  delta_ = requested_delta_ > 0.0
+               ? requested_delta_
+               : 1.0 / (4.0 * static_cast<double>(instance.cache_size()));
   inner_->Attach(instance);
   phase_start_.assign(static_cast<size_t>(instance.num_pages()) *
                           static_cast<size_t>(instance.num_levels()),
@@ -23,6 +26,12 @@ void DiscretizedFractional::Attach(const Instance& instance) {
   phase_open_.assign(static_cast<size_t>(instance.num_pages()), 0);
   phase_pages_.clear();
   closed_cost_ = 0.0;
+}
+
+double DiscretizedFractional::Snap(double u) const {
+  // Round up to the grid; exact grid points (within fp noise) stay put.
+  const double cells = std::ceil(u / delta_ - 1e-9);
+  return std::min(1.0, cells * delta_);
 }
 
 void DiscretizedFractional::Serve(Time t, const Request& r) {
@@ -66,18 +75,33 @@ Cost DiscretizedFractional::lp_cost() const {
 }
 
 void DiscretizedFractional::ArmWatch(PageId p, Level i, double x) {
+  // Snap(u) = min(1, m delta) with m = ceil(u / delta - 1e-9). For x < 1,
+  // Snap(u) > x iff m > x / delta iff u > (floor(x / delta) + 1e-9) delta;
+  // a snapped value never exceeds 1, so x >= 1 can never fire. The floor
+  // takes the grid's own 1e-9-cell tolerance, so a threshold that is a
+  // grid value up to fp rounding (the rounding arms at the current value
+  // when its interval is empty) waits for the next cell, as the exact
+  // comparison would.
   if (x >= 1.0) {
     inner_->DisarmWatch(p);
     return;
   }
-  inner_->ArmWatch(p, i, grid::WatchThreshold(x, delta_));
+  inner_->ArmWatch(p, i, (std::floor(x / delta_ + 1e-9) + 1e-9) * delta_);
 }
 
 void DiscretizedFractional::ClassSuffixMass(const Instance& instance,
                                             std::span<double> lo,
                                             std::span<double> hi) const {
   inner_->ClassSuffixMass(instance, lo, hi);
-  grid::WidenBand(inner_->present_pages(instance), delta_, lo, hi);
+  // Each page's suffix term is 1 - u(p, j), and Snap(u) - u lies in
+  // [-1e-9 delta, delta); only present pages have u < 1. The absolute
+  // 1e-9 pads both ends against fp drift in the inner aggregates so a
+  // decision that close to an integer goes to the exact scan.
+  const double pages = static_cast<double>(inner_->present_pages(instance));
+  for (size_t c = 0; c < lo.size(); ++c) {
+    lo[c] -= pages * delta_ * (1.0 + 1e-6) + 1e-9;
+    hi[c] += pages * delta_ * 1e-6 + 1e-9;
+  }
 }
 
 std::string DiscretizedFractional::name() const {

@@ -8,12 +8,6 @@
 // against a minimum fractional movement of delta); the <= 2x cost claim is
 // validated empirically by the E10 ablation.
 //
-// The default engine, FractionalMlp, presents this grid itself
-// (FractionalOptions::delta; MakeFractionalStack sets it) by the same
-// rules, from the values it already holds. This wrapper serves the other
-// engines (FractionalMlpReference, FractionalLinear) and is the oracle the
-// folded grid is held to bit for bit (tests/fractional_fast_test.cpp).
-//
 // The wrapper does no per-request pass over the pages the inner solver
 // moved:
 //   - U snaps the inner value on read;
@@ -29,57 +23,11 @@
 //     rise, if any); open phases are summed when lp_cost() is read.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/fractional.h"
 
 namespace wmlp {
-
-// The grid's rules, which this wrapper and FractionalMlp's folded grid
-// share. Each takes the resolved delta > 0.
-namespace grid {
-
-// delta = 0 requests the paper's 1/(4k).
-inline double Resolve(double requested, int32_t cache_size) {
-  return requested > 0.0 ? requested
-                         : 1.0 / (4.0 * static_cast<double>(cache_size));
-}
-
-// Rounds u up to the grid; exact grid points (within fp noise) stay put.
-inline double Snap(double u, double delta) {
-  return std::min(1.0, std::ceil(u / delta - 1e-9) * delta);
-}
-
-// The raw threshold whose crossing is "Snap(u) > x", for x < 1 (a snapped
-// value never exceeds 1, so x >= 1 is never crossed). Snap(u) = m delta
-// with m = ceil(u / delta - 1e-9), so Snap(u) > x iff m > x / delta iff
-// u > (floor(x / delta) + 1e-9) delta. The floor takes the grid's own
-// 1e-9-cell tolerance, so a threshold that is a grid value up to fp
-// rounding (the rounding arms at the current value when its interval is
-// empty) waits for the next cell, as the exact comparison would.
-inline double WatchThreshold(double x, double delta) {
-  return (std::floor(x / delta + 1e-9) + 1e-9) * delta;
-}
-
-// Widens exact class-suffix masses to the grid's band. Each page's suffix
-// term is 1 - u(p, j), and Snap(u) - u lies in [-1e-9 delta, delta); only
-// the `present` pages have u < 1. The absolute 1e-9 pads both ends
-// against fp drift in the masses, so a decision that close to an integer
-// goes to the exact scan.
-inline void WidenBand(int64_t present, double delta, std::span<double> lo,
-                      std::span<double> hi) {
-  const double pages = static_cast<double>(present);
-  for (size_t c = 0; c < lo.size(); ++c) {
-    lo[c] -= pages * delta * (1.0 + 1e-6) + 1e-9;
-    hi[c] += pages * delta * 1e-6 + 1e-9;
-  }
-}
-
-}  // namespace grid
 
 class DiscretizedFractional final : public FractionalPolicy {
  public:
@@ -88,9 +36,7 @@ class DiscretizedFractional final : public FractionalPolicy {
 
   void Attach(const Instance& instance) override;
   void Serve(Time t, const Request& r) override;
-  double U(PageId p, Level i) const override {
-    return grid::Snap(inner_->U(p, i), delta_);
-  }
+  double U(PageId p, Level i) const override { return Snap(inner_->U(p, i)); }
   void PrefetchPage(PageId p) const override { inner_->PrefetchPage(p); }
   // O(pages requested so far * ell): sums the open rise phases.
   Cost lp_cost() const override;
@@ -112,6 +58,7 @@ class DiscretizedFractional final : public FractionalPolicy {
   double delta() const { return delta_; }
 
  private:
+  double Snap(double u) const;
   size_t Idx(PageId p, Level i) const {
     return static_cast<size_t>(p) *
                static_cast<size_t>(instance_->num_levels()) +

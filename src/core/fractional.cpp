@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/core_audit.h"
-#include "core/discretize.h"
 #include "core/stopping_clock.h"
 #include "core/weight_classes.h"
 #include "kernels/kernels.h"
@@ -52,7 +51,6 @@ int64_t FractionalPolicy::present_pages(const Instance& instance) const {
 FractionalMlp::FractionalMlp(const FractionalOptions& options)
     : options_(options) {
   WMLP_CHECK(options.eta >= 0.0);
-  WMLP_CHECK(options.delta <= 1.0);
 }
 
 FractionalMlp::~FractionalMlp() { PublishCounts(); }
@@ -81,9 +79,6 @@ void FractionalMlp::Attach(const Instance& instance) {
   eta_ = options_.eta > 0.0
              ? options_.eta
              : 1.0 / static_cast<double>(instance.cache_size());
-  delta_ = options_.delta < 0.0
-               ? 0.0
-               : grid::Resolve(options_.delta, instance.cache_size());
   clock_ = 0.0;
   lp_cost_ = 0.0;
   movement_cost_ = 0.0;
@@ -98,10 +93,6 @@ void FractionalMlp::Attach(const Instance& instance) {
   if (un > u_cap_) {
     u_ = std::make_unique_for_overwrite<double[]>(un);
     u_cap_ = un;
-  }
-  if (delta_ > 0.0 && un > phase_cap_) {
-    phase_ = std::make_unique_for_overwrite<double[]>(un);
-    phase_cap_ = un;
   }
   if (n > page_cap_) {
     rec_ = std::make_unique_for_overwrite<PageRec[]>(n);
@@ -136,8 +127,6 @@ void FractionalMlp::Attach(const Instance& instance) {
   req_page_ = -1;
   watch_head_.clear();
   fired_.clear();
-  phase_pages_.clear();
-  closed_phase_cost_ = 0.0;
   num_classes_ = WeightClasses(instance).num_classes();
   fixed_mass_.assign(static_cast<size_t>(num_classes_), 0.0);
   class_scratch_.assign(static_cast<size_t>(num_classes_), 0.0);
@@ -166,23 +155,15 @@ void FractionalMlp::PrefetchPage(PageId p) const {
   WMLP_PREFETCH_READ(epoch_of_.data() + sp);
   WMLP_PREFETCH_WRITE(rec_.get() + sp);
   WMLP_PREFETCH_WRITE(u_.get() + sp * static_cast<size_t>(ell_));
-  if (delta_ > 0.0) {
-    WMLP_PREFETCH_WRITE(phase_.get() + sp * static_cast<size_t>(ell_));
-  }
 }
 
-double FractionalMlp::RawU(PageId p, Level i) const {
+double FractionalMlp::U(PageId p, Level i) const {
   if (!Fresh(p)) return 1.0;  // untouched this epoch: fully absent
   const PageRec& rec = rec_[static_cast<size_t>(p)];
   if (rec.state != PageState::kActive || i < rec.cursor) {
     return u_[Idx(p, i)];
   }
   return DynamicU(p);
-}
-
-double FractionalMlp::U(PageId p, Level i) const {
-  const double u = RawU(p, i);
-  return delta_ > 0.0 ? grid::Snap(u, delta_) : u;
 }
 
 double FractionalMlp::SuffixWeight(PageId p, Level from) const {
@@ -622,7 +603,6 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
 
   // ---- Step 1: serve the request (u of p_t only decreases; no cost). ----
   DetachAndMaterialize(r.page);
-  if (delta_ > 0.0) ClosePhase(r.page);
   // Conditional so GCC does not turn the loop into a memset call.
   for (Level j = r.level; j <= ell_; ++j) {
     double& u = u_[Idx(r.page, j)];
@@ -718,7 +698,6 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
 
   // Re-enter the requested page into the active machinery.
   Activate(r.page);
-  if (delta_ > 0.0) OpenPhase(r.page);
 
   if (options_.record_schedule) {
     std::vector<double> snap(static_cast<size_t>(n_) *
@@ -772,18 +751,10 @@ void FractionalMlp::ClassSuffixMass(const Instance& /*instance*/,
     lo[c] = suffix;
     hi[c] = suffix;
   }
-  if (delta_ > 0.0) grid::WidenBand(active_count_, delta_, lo, hi);
 }
 
 void FractionalMlp::ArmWatch(PageId p, Level i, double x) {
   WMLP_CHECK(p >= 0 && p < n_ && i >= 1 && i <= ell_);
-  if (delta_ > 0.0) {
-    if (x >= 1.0) {  // a snapped value never exceeds 1
-      DisarmWatch(p);
-      return;
-    }
-    x = grid::WatchThreshold(x, delta_);
-  }
   PageRec& rec = Rec(p);  // materializes an untouched page as absent
   WatchRec& w = watch_[static_cast<size_t>(p)];
   if (rec.watched) {
@@ -907,51 +878,6 @@ void FractionalMlp::DrainWatches() {
     }
     g.watch_floor = top;
   }
-}
-
-void FractionalMlp::ClosePhase(PageId p) {
-  // DetachAndMaterialize has just written p's values before this request
-  // into its u_ row. A page never requested has no phase (its u is 1
-  // everywhere), and a level whose snapped value did not move adds 0.
-  if (!rec_[static_cast<size_t>(p)].phased) return;
-  for (Level i = 1; i <= ell_; ++i) {
-    const double before = grid::Snap(u_[Idx(p, i)], delta_);
-    double& start = phase_[Idx(p, i)];
-    if (before == start) continue;
-    closed_phase_cost_ += instance_->weight(p, i) * (before - start);
-    start = before;
-  }
-}
-
-void FractionalMlp::OpenPhase(PageId p) {
-  // Charges the request's own snapped rises (a level snapped up to its
-  // cap) and opens the next phase at the served values.
-  for (Level i = 1; i <= ell_; ++i) {
-    const double after = grid::Snap(RawU(p, i), delta_);
-    const double before = phase_[Idx(p, i)];
-    if (after > before) {
-      closed_phase_cost_ += instance_->weight(p, i) * (after - before);
-    }
-    phase_[Idx(p, i)] = after;
-  }
-  PageRec& rec = rec_[static_cast<size_t>(p)];
-  if (!rec.phased) {
-    rec.phased = true;
-    phase_pages_.push_back(p);
-  }
-}
-
-Cost FractionalMlp::lp_cost() const {
-  if (delta_ <= 0.0) return lp_cost_;
-  // Between two requests of p the raw u(p, i) only rises, so an open
-  // phase's cost is w(p, i) times its snapped rise so far.
-  Cost cost = closed_phase_cost_;
-  for (const PageId p : phase_pages_) {
-    for (Level i = 1; i <= ell_; ++i) {
-      cost += instance_->weight(p, i) * (U(p, i) - phase_[Idx(p, i)]);
-    }
-  }
-  return cost;
 }
 
 }  // namespace wmlp

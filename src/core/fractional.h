@@ -57,11 +57,9 @@
 // (cross-checked to 1e-9 by tests/fractional_fast_test.cpp over randomized
 // instances).
 //
-// The §4.3 rounding's channels (FractionalPolicy below) are answered from
-// the same state: a threshold watch is keyed by its weight group's factor
-// e1 (see ArmWatch), and with FractionalOptions::delta set the solver
-// presents the Lemma 4.5 grid itself, by the rules of grid:: in
-// core/discretize.h.
+// The §4.3 rounding's threshold watches (FractionalPolicy below) are
+// answered from the same state: a watch is keyed by its weight group's
+// factor e1 (see ArmWatch), so it costs no log and no heap operation.
 #pragma once
 
 #include <algorithm>
@@ -142,10 +140,6 @@ using FractionalPolicyPtr = std::unique_ptr<FractionalPolicy>;
 struct FractionalOptions {
   // eta in the update rate; 0 selects the paper's 1/k.
   double eta = 0.0;
-  // The Lemma 4.5 grid, read by FractionalMlp only: < 0 presents the raw
-  // solution (the default), 0 selects delta = 1/(4k) at Attach, and a
-  // value in (0, 1] is the grid itself.
-  double delta = -1.0;
   // If true, record a FracSchedule snapshot after every step (tests).
   bool record_schedule = false;
 };
@@ -158,16 +152,10 @@ class FractionalMlp final : public FractionalPolicy {
 
   void Attach(const Instance& instance) override;
   void Serve(Time t, const Request& r) override;
-  // On the grid when options.delta >= 0 (snapped on read).
   double U(PageId p, Level i) const override;
   void PrefetchPage(PageId p) const override;
-  // On the grid, the snapped LP cost of the rise phases (as
-  // DiscretizedFractional charges it): O(pages requested so far * ell).
-  Cost lp_cost() const override;
-  std::string name() const override {
-    return options_.delta >= 0.0 ? "discretized(fractional-mlp)"
-                                 : "fractional-mlp";
-  }
+  Cost lp_cost() const override { return lp_cost_; }
+  std::string name() const override { return "fractional-mlp"; }
 
   // A cursor page's live value is term * e1 - eta, so a watch on (p, i)
   // with i at or below p's cursor is listed in its group under
@@ -180,17 +168,13 @@ class FractionalMlp final : public FractionalPolicy {
   // touch and a group rebuild re-keys its members', so the work is O(1)
   // per watch event, never a walk of the active set. K is relative to the
   // group's base clock, so a clock renormalization leaves it as it is.
-  // On the grid the watch is "snapped u(p, i) > x", armed as its raw
-  // preimage (grid::WatchThreshold); x >= 1 disarms.
   void ArmWatch(PageId p, Level i, double x) override;
   void DisarmWatch(PageId p) override;
   std::span<const PageId> fired() const override { return fired_; }
-  // Reports the raw threshold (the preimage, on the grid).
   bool watch(PageId p, Level* i, double* x) const override;
 
   // O(G + C) from the weight-group aggregates plus per-class sums of the
-  // frozen marginals, which change only when a page's cursor moves. On the
-  // grid the band widens by the snap error, present_pages * delta.
+  // frozen marginals, which change only when a page's cursor moves.
   void ClassSuffixMass(const Instance& instance, std::span<double> lo,
                        std::span<double> hi) const override;
   int64_t present_pages(const Instance& /*instance*/) const override {
@@ -200,8 +184,6 @@ class FractionalMlp final : public FractionalPolicy {
   // Recorded schedule (only if options.record_schedule).
   const FracSchedule& schedule() const { return schedule_; }
   double eta() const { return eta_; }
-  // The grid resolved at Attach; 0 when the solution is raw.
-  double delta() const { return delta_; }
 
   // The Section 4.2 analysis quantity: cumulative y-movement cost
   // sum w(q, i_q) * |dy(q, i_q)| over step-2 evictions (the LP cost above
@@ -229,9 +211,10 @@ class FractionalMlp final : public FractionalPolicy {
   // mass sum A = sum term_q, the LP sum B = sum c_q term_q, and the shared
   // factor e1 = e^{(S - base_s)/w} — live in the parallel act_* SoA arrays
   // at index active_pos while the group is non-empty (see the act_*
-  // comment below); the struct itself keeps membership, the base clock and
-  // where its watch lists are. The sums are rebuilt from members before exponents can overflow
-  // and periodically to shed removal cancellation error.
+  // comment below); the struct itself keeps membership, the base clock
+  // and where its watch lists are. The sums are rebuilt from members
+  // before exponents can overflow and periodically to shed removal
+  // cancellation error.
   struct Group {
     double w = 0.0;
     double base_s = 0.0;
@@ -281,7 +264,6 @@ class FractionalMlp final : public FractionalPolicy {
     Level cursor;
     PageState state;
     bool watched;  // a watch is armed (its WatchRec is valid)
-    bool phased;   // on the grid: requested this epoch (phase_pages_)
   };
   static_assert(sizeof(PageRec) == 64, "PageRec must fill one cache line");
 
@@ -290,7 +272,7 @@ class FractionalMlp final : public FractionalPolicy {
   // uninitialized. A listed watch is a node of its list, linked through
   // the pages' records, so listing and unlisting allocate nothing.
   struct WatchRec {
-    double x;      // raw threshold
+    double x;      // threshold
     double key;    // K = (x + eta) / term while listed
     PageId next;   // neighbours in its list, -1 at either end
     PageId prev;
@@ -339,12 +321,8 @@ class FractionalMlp final : public FractionalPolicy {
       rec.cursor = 0;
       rec.state = PageState::kAbsent;
       rec.watched = false;
-      rec.phased = false;
-      const size_t row = sp * static_cast<size_t>(ell_);
-      std::fill(u_.get() + row, u_.get() + row + ell_, 1.0);
-      if (delta_ > 0.0) {
-        std::fill(phase_.get() + row, phase_.get() + row + ell_, 1.0);
-      }
+      double* u = u_.get() + sp * static_cast<size_t>(ell_);
+      std::fill(u, u + ell_, 1.0);
     }
     return rec;
   }
@@ -353,8 +331,6 @@ class FractionalMlp final : public FractionalPolicy {
   }
   // Live value of u(p, cursor..ell) for an active page, clamped to its cap.
   double DynamicU(PageId p) const;
-  // u(p, i) off the grid.
-  double RawU(PageId p, Level i) const;
   double SuffixWeight(PageId p, Level from) const;
 
   int32_t GroupIndexFor(double w);
@@ -428,10 +404,6 @@ class FractionalMlp final : public FractionalPolicy {
   // Fires every listed watch whose key its group's e1 now exceeds; run at
   // the end of a Serve that raised the water.
   void DrainWatches();
-  // The grid's rise phases (see lp_cost): close p's at its pre-request
-  // values, and charge the request's own snapped rises after it is served.
-  void ClosePhase(PageId p);
-  void OpenPhase(PageId p);
   // Adds the counts below to their registry counters and zeroes them, on
   // re-Attach and destruction, so Serve makes no registry call.
   void PublishCounts();
@@ -506,16 +478,6 @@ class FractionalMlp final : public FractionalPolicy {
   std::unique_ptr<WatchRec[]> watch_;
   std::vector<PageId> watch_head_;
   std::vector<PageId> fired_;
-
-  // The Lemma 4.5 grid (0 when raw) and its rise phases: per (page,
-  // level) the snapped u at the page's last request, rows materialized
-  // with the page's record, the pages requested this epoch, and the cost
-  // of the phases already closed.
-  double delta_ = 0.0;
-  std::unique_ptr<double[]> phase_;
-  size_t phase_cap_ = 0;
-  std::vector<PageId> phase_pages_;
-  Cost closed_phase_cost_ = 0.0;
 
   // Per weight class, the active pages' fixed marginals: frozen
   // u(p, i-1) - u(p, i) above the cursor, plus the cap u(p, cursor-1) of

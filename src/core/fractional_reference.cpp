@@ -18,8 +18,6 @@ FractionalMlpReference::FractionalMlpReference(
     const FractionalOptions& options)
     : options_(options) {
   WMLP_CHECK(options.eta >= 0.0);
-  // The grid is FractionalMlp's; this engine takes DiscretizedFractional.
-  WMLP_CHECK(options.delta < 0.0);
 }
 
 void FractionalMlpReference::Attach(const Instance& instance) {

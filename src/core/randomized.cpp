@@ -8,18 +8,17 @@
 namespace wmlp {
 
 FractionalPolicyPtr MakeFractionalStack(const RandomizedOptions& options) {
-  FractionalOptions fopts;
-  fopts.eta = options.eta;
-  if (options.engine == FractionalEngine::kMultiplicative) {
-    // The solver presents the grid itself (delta < 0 leaves it raw).
-    fopts.delta = options.delta;
-    return std::make_unique<FractionalMlp>(fopts);
-  }
   FractionalPolicyPtr frac;
   if (options.engine == FractionalEngine::kLinear) {
     frac = std::make_unique<FractionalLinear>();
-  } else {
+  } else if (options.engine == FractionalEngine::kReference) {
+    FractionalOptions fopts;
+    fopts.eta = options.eta;
     frac = std::make_unique<FractionalMlpReference>(fopts);
+  } else {
+    FractionalOptions fopts;
+    fopts.eta = options.eta;
+    frac = std::make_unique<FractionalMlp>(fopts);
   }
   if (options.delta >= 0.0) {
     frac = std::make_unique<DiscretizedFractional>(std::move(frac),

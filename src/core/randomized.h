@@ -1,10 +1,6 @@
 // The combined O(log^2 k)-competitive randomized algorithm
 // (Theorems 1.2 / 1.5): fractional multiplicative update (Section 4.2)
 // -> Lemma 4.5 discretization -> distribution-free rounding (Section 4.3).
-// On the default engine the first two are one object: FractionalMlp
-// presents the grid itself (FractionalOptions::delta), so the rounding
-// talks to the solver with no layer between; the reference and linear
-// engines take the grid from DiscretizedFractional.
 #pragma once
 
 #include "core/discretize.h"
@@ -36,9 +32,7 @@ PolicyPtr MakeRandomizedPolicy(uint64_t seed,
                                const RandomizedOptions& options = {});
 
 // The fractional stack below the rounding — exactly what the policy runs
-// (for experiments that need the fractional cost alone): a FractionalMlp
-// on the grid options.delta for kMultiplicative, the engine wrapped in
-// DiscretizedFractional otherwise (delta < 0: no grid). The policy
+// (for experiments that need the fractional cost alone). The policy
 // attaches it to ClassCeilingInstance(instance).get(); a caller timing the
 // stack alone attaches it the same way.
 FractionalPolicyPtr MakeFractionalStack(const RandomizedOptions& options = {});

@@ -2,10 +2,9 @@
 // reproduce the FractionalMlpReference trajectory — full u state and both
 // cost meters — to 1e-9 after every step, across instance shapes, weight
 // models, trace generators, and the E8 eta-ablation values; its watches
-// must fire on the reference's requests, and its folded Lemma 4.5 grid
-// must present exactly what DiscretizedFractional presents over it. Plus
-// unit tests for the shared stopping-clock root finder and a regression
-// test on near-degenerate weight spreads.
+// must fire on the reference's requests. Plus unit tests for the shared
+// stopping-clock root finder and a regression test on near-degenerate
+// weight spreads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/discretize.h"
 #include "core/fractional.h"
 #include "core/fractional_reference.h"
 #include "core/stopping_clock.h"
@@ -293,97 +291,6 @@ TEST(FractionalFast, WatchAtItsValueWaitsForTheNextRise) {
             both);
   EXPECT_EQ(std::vector<PageId>(ref.fired().begin(), ref.fired().end()),
             both);
-}
-
-// The folded grid against the wrapper it replaces on the default engine,
-// DiscretizedFractional over a raw FractionalMlp at the same delta (0
-// selects 1/(4k)), carrying the same watches as the rounding arms them:
-// in [u, u above) after every request, at u when the draw says so, and
-// at 1 (which disarms) now and then. Both run one raw trajectory, so U,
-// fired() and the class-mass bands agree bit for bit, and the snapped LP
-// cost to 1e-12 relative. Returns the number of firings.
-int64_t ExpectFoldedGridMatchesWrapper(const Trace& trace, double delta,
-                                       uint64_t seed) {
-  const Instance& inst = trace.instance;
-  FractionalOptions opts;
-  opts.delta = delta;
-  FractionalMlp folded(opts);
-  DiscretizedFractional wrapped(std::make_unique<FractionalMlp>(), delta);
-  folded.Attach(inst);
-  wrapped.Attach(inst);
-  EXPECT_EQ(folded.delta(), wrapped.delta());
-  EXPECT_EQ(folded.name(), wrapped.name());
-  const size_t classes =
-      static_cast<size_t>(WeightClasses(inst).num_classes());
-  std::vector<double> lo_f(classes), hi_f(classes);
-  std::vector<double> lo_w(classes), hi_w(classes);
-  Rng rng(seed + 5);
-  const std::string label =
-      "seed " + std::to_string(seed) + " delta " + std::to_string(delta);
-  int64_t fired = 0;
-  for (Time t = 0; t < trace.length(); ++t) {
-    const Request& r = trace.requests[static_cast<size_t>(t)];
-    folded.Serve(t, r);
-    wrapped.Serve(t, r);
-    if (!std::ranges::equal(folded.fired(), wrapped.fired())) {
-      ADD_FAILURE() << label << " fired() differs at t=" << t;
-      return fired;
-    }
-    fired += static_cast<int64_t>(folded.fired().size());
-    for (PageId p = 0; p < inst.num_pages(); ++p) {
-      for (Level i = 1; i <= inst.num_levels(); ++i) {
-        if (folded.U(p, i) != wrapped.U(p, i)) {
-          ADD_FAILURE() << label << " u(" << p << "," << i << ") t=" << t
-                        << ": " << folded.U(p, i) << " vs "
-                        << wrapped.U(p, i);
-          return fired;
-        }
-      }
-    }
-    folded.ClassSuffixMass(inst, lo_f, hi_f);
-    wrapped.ClassSuffixMass(inst, lo_w, hi_w);
-    if (lo_f != lo_w || hi_f != hi_w) {
-      ADD_FAILURE() << label << " class-mass band differs at t=" << t;
-      return fired;
-    }
-    if (std::abs(folded.lp_cost() - wrapped.lp_cost()) >
-        1e-12 * std::abs(wrapped.lp_cost())) {
-      ADD_FAILURE() << label << " lp_cost " << folded.lp_cost() << " vs "
-                    << wrapped.lp_cost() << " at t=" << t;
-      return fired;
-    }
-    const double u = wrapped.U(r.page, r.level);
-    const double above =
-        r.level == 1 ? 1.0 : wrapped.U(r.page, r.level - 1);
-    const double draw = rng.NextDouble();
-    const double x = draw < 0.1    ? u
-                     : draw > 0.95 ? 1.0
-                                   : u + (above - u) * rng.NextDouble();
-    folded.ArmWatch(r.page, r.level, x);
-    wrapped.ArmWatch(r.page, r.level, x);
-    Level level_f = 0, level_w = 0;
-    double x_f = 0.0, x_w = 0.0;
-    const bool armed_f = folded.watch(r.page, &level_f, &x_f);
-    if (armed_f != wrapped.watch(r.page, &level_w, &x_w) ||
-        (armed_f && (level_f != level_w || x_f != x_w))) {
-      ADD_FAILURE() << label << " watch on " << r.page << " differs at t="
-                    << t;
-      return fired;
-    }
-  }
-  return fired;
-}
-
-TEST(FractionalFast, FoldedGridMatchesTheWrapper) {
-  const std::vector<Trace> traces = WatchLockstepTraces();
-  for (const double delta : {0.0, 0.25}) {
-    int64_t fired = 0;
-    for (size_t s = 0; s < traces.size(); ++s) {
-      fired += ExpectFoldedGridMatchesWrapper(traces[s], delta, s);
-      if (HasFailure()) return;
-    }
-    EXPECT_GT(fired, 1000) << "delta " << delta;
-  }
 }
 
 TEST(FractionalFast, OutputSensitiveCountersAdvance) {

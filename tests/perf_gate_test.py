@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Tests for scripts/perf.py's gates and schema check on synthetic run
-documents and servebench pairs, and for its extraction of the parent's
-tree; no binaries are built or run."""
+documents and servebench pairs, for its extraction of the parent's tree
+and for its call of a tree's servebench/run.py (a stub); no binaries are
+built or run."""
 
 import contextlib
 import copy
@@ -314,6 +315,41 @@ class ServeGateTest(unittest.TestCase):
         self.assertIn("0.905", row)
         self.assertIn("10/10", row)
         self.assertIn("run_ns_per_req per pair: 950->850; 1000->900", text)
+
+
+# Stands in for a tree's servebench/run.py: echoes its arguments as a
+# result line after a line of benchmark output, or fails like a build.
+STUB_RUN_PY = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if args["--workload"] == "broken":
+    sys.exit("servebench: build step failed")
+print("# benchmark output")
+print(json.dumps({"correct": True, "attempted": 7, "failed": 0,
+                  "metrics": {"run_ns_per_req": {"value": 1000.5,
+                                                 "unit": "ns"},
+                              "argv": {"value": len(sys.argv),
+                                       "unit": "n"}},
+                  "args": args}))
+"""
+
+
+class ServeOnceTest(unittest.TestCase):
+    def test_runs_the_trees_run_py_and_reads_its_last_line(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            (tree / "servebench").mkdir()
+            (tree / "servebench" / "run.py").write_text(STUB_RUN_PY)
+            result = perf.serve_once(tree, "randomized-levels", 42, 3.0)
+            self.assertEqual(result["seed"], 42)
+            self.assertEqual(result["metrics"],
+                             {"run_ns_per_req": 1000.5, "argv": 9.0})
+            self.assertEqual(result["args"], {
+                "--workload": "randomized-levels", "--seed": "42",
+                "--seconds": "3.0", "--trace": "0"})
+            error = perf.serve_once(tree, "broken", 1, 3.0)
+            self.assertIsInstance(error, str)
+            self.assertIn("exited with status 1", error)
+            self.assertIn("build step failed", error)
 
 
 @unittest.skipUnless(shutil.which("git") and shutil.which("tar"),
