@@ -580,6 +580,7 @@ def serve(args):
                   flush=True)
         results[workload] = pairs
     if args.json:
+        args.json.parent.mkdir(parents=True, exist_ok=True)
         with open(args.json, "w") as f:
             json.dump({w: [list(p) for p in pairs]
                        for w, pairs in results.items()}, f, indent=1)

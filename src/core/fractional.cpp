@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <numbers>
 #include <utility>
 
 #include "core/core_audit.h"
@@ -30,7 +31,100 @@ constexpr double kMaxGroupExp = 8.0;
 // decision tolerance for the lightest admissible weight (w >= 1, which the
 // Instance validates).
 constexpr double kClockRenormThreshold = 256.0;
+
 }  // namespace
+
+void FractionalMlp::KeyLists::Reset(double eta) {
+  // Sixteen lists per octave of [1, e^kMaxGroupExp (1 + eta) / eta], one
+  // for the keys past it, rounded up to whole words of bits.
+  const int32_t octaves = static_cast<int32_t>(
+      std::ceil((kMaxGroupExp + std::log1p(eta) - std::log(eta)) /
+                std::numbers::ln2));
+  buckets_ = (16 * octaves + 64) / 64 * 64;
+  head_.clear();
+  used_.clear();
+}
+
+int32_t FractionalMlp::KeyLists::Bucket(double key) const {
+  // The biased exponent and the top four mantissa bits, counted from 1.0.
+  const int64_t b = static_cast<int64_t>(std::bit_cast<uint64_t>(key) >> 48) -
+                    (int64_t{1023} << 4);
+  return static_cast<int32_t>(std::clamp<int64_t>(b, 0, buckets_ - 1));
+}
+
+int32_t FractionalMlp::KeyLists::FirstUsed(int32_t from, int32_t end) const {
+  if (from >= end) return end;
+  size_t at = static_cast<size_t>(from) / 64;
+  uint64_t bits = used_[at] & (~uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++at * 64 >= static_cast<size_t>(end)) return end;
+    bits = used_[at];
+  }
+  return std::min(end,
+                  static_cast<int32_t>(at * 64) + std::countr_zero(bits));
+}
+
+template <typename Node>
+void FractionalMlp::KeyLists::Append(Node* nodes, int32_t list, PageId p) {
+  PageId& first = head(list);
+  if (first < 0) {
+    nodes[static_cast<size_t>(p)].next = first = p;
+    nodes[static_cast<size_t>(p)].prev = p;
+    word(list) |= bit(list);
+    return;
+  }
+  LinkBefore(nodes, first, p);
+}
+
+template <typename Node>
+void FractionalMlp::KeyLists::Insert(Node* nodes, int32_t list, PageId p) {
+  const auto at = [nodes](PageId q) -> Node& {
+    return nodes[static_cast<size_t>(q)];
+  };
+  PageId& first = head(list);
+  const double key = at(p).key;
+  // The last node is the head's prev.
+  if (first < 0 || key >= at(at(first).prev).key) {
+    Append(nodes, list, p);
+    return;
+  }
+  // p goes before the first node keyed above it.
+  PageId next = first;
+  if (key < at(first).key) {
+    first = p;
+  } else {
+    do next = at(next).next;
+    while (at(next).key <= key);
+  }
+  LinkBefore(nodes, next, p);
+}
+
+template <typename Node>
+void FractionalMlp::KeyLists::LinkBefore(Node* nodes, PageId next, PageId p) {
+  const auto at = [nodes](PageId q) -> Node& {
+    return nodes[static_cast<size_t>(q)];
+  };
+  at(p).next = next;
+  at(p).prev = at(next).prev;
+  at(at(p).prev).next = p;
+  at(next).prev = p;
+}
+
+template <typename Node>
+void FractionalMlp::KeyLists::Unlink(Node* nodes, int32_t list, PageId p) {
+  const auto at = [nodes](PageId q) -> Node& {
+    return nodes[static_cast<size_t>(q)];
+  };
+  PageId& first = head(list);
+  if (at(p).next == p) {
+    first = -1;
+    word(list) &= ~bit(list);
+    return;
+  }
+  at(at(p).prev).next = at(p).next;
+  at(at(p).next).prev = at(p).prev;
+  if (first == p) first = at(p).next;
+}
 
 void FractionalPolicy::ClassSuffixMass(const Instance& instance,
                                        std::span<double> lo,
@@ -111,7 +205,6 @@ void FractionalMlp::Attach(const Instance& instance) {
   groups_.clear();
   group_index_.Reset();
   active_groups_.clear();
-  heap_.clear();
   absent_count_ = n_;
   active_count_ = 0;
   act_w_.clear();
@@ -121,11 +214,12 @@ void FractionalMlp::Attach(const Instance& instance) {
   act_cnt_.clear();
   act_d_.clear();
   act_iw_.clear();
+  act_next_.clear();
   d_key_ = kNoIncrements;
   accrue_count_ = 0;
 
   req_page_ = -1;
-  watch_head_.clear();
+  lists_.Reset(eta_);
   fired_.clear();
   num_classes_ = WeightClasses(instance).num_classes();
   fixed_mass_.assign(static_cast<size_t>(num_classes_), 0.0);
@@ -181,6 +275,7 @@ int32_t FractionalMlp::GroupIndexFor(double w) {
   groups_.back().w = w;
   groups_.back().base_s = clock_;
   groups_.back().cls = WeightClasses::ClassOf(w);
+  groups_.back().event_lists = lists_.AddGroup();
   group_index_.Insert(key, gi);
   return gi;
 }
@@ -209,6 +304,7 @@ void FractionalMlp::GroupInsert(PageId p) {
     act_cnt_.push_back(0.0);
     act_d_.push_back(0.0);
     act_iw_.push_back(1.0 / g.w);
+    act_next_.emplace_back();
     ++empty_group_rebases_;
   } else if ((clock_ - g.base_s) *
                  act_iw_[static_cast<size_t>(g.active_pos)] >
@@ -230,13 +326,20 @@ void FractionalMlp::GroupInsert(PageId p) {
   rec.pos_in_group = static_cast<int32_t>(g.members.size());
   g.members.push_back(p);
   ++active_count_;
+  // The page reaches its cap when e1 reaches its key.
+  rec.key = (CapOf(rec, p) + eta_) / term;
+  lists_.Insert(rec_.get(), EventList(rec), p);
+  if (g.members.size() == 1 || rec.key < act_next_[ap].key) {
+    SetNextEvent(ap, p, rec.key);
+  }
 }
 
 void FractionalMlp::GroupRemove(PageId p) {
   PageRec& rec = rec_[static_cast<size_t>(p)];
   // A watch is listed only while its page is a member (the caller re-keys
   // it against the page's next group, if any).
-  if (rec.watched) UnlistWatch(watch_[static_cast<size_t>(p)]);
+  if (rec.watched) UnlistWatch(p, watch_[static_cast<size_t>(p)]);
+  lists_.Unlink(rec_.get(), EventList(rec), p);
   const int32_t gi = rec.group_of;
   Group& g = groups_[static_cast<size_t>(gi)];
   // Subtract the cached term — the exact double GroupInsert/RebuildGroup
@@ -270,6 +373,7 @@ void FractionalMlp::GroupRemove(PageId p) {
     act_e1_[ap] = act_e1_[last];
     act_cnt_[ap] = act_cnt_[last];
     act_iw_[ap] = act_iw_[last];
+    act_next_[ap] = act_next_[last];
     groups_[static_cast<size_t>(moved)].active_pos = static_cast<int32_t>(ap);
     active_groups_.pop_back();
     act_w_.pop_back();
@@ -279,6 +383,7 @@ void FractionalMlp::GroupRemove(PageId p) {
     act_cnt_.pop_back();
     act_d_.pop_back();
     act_iw_.pop_back();
+    act_next_.pop_back();
     g.base_s = clock_;
     g.removals = 0;
     g.active_pos = -1;
@@ -286,6 +391,9 @@ void FractionalMlp::GroupRemove(PageId p) {
   }
   if (++g.removals > 32 + 2 * static_cast<int64_t>(g.members.size())) {
     RebuildGroup(gi);
+  } else if (act_next_[ap].page == p) {
+    // Every other key is at least p's.
+    FindNextEvent(ap, lists_.Bucket(rec.key));
   }
 }
 
@@ -304,11 +412,12 @@ void FractionalMlp::RebuildGroup(int32_t gi) {
   // One batched exp pass over the membership; the multiply-accumulate
   // below is cheap next to the transcendentals.
   kernels::ExpBatch(rebuild_x_.data(), rebuild_e_.data(), m);
-  // The members' watches are re-keyed against the new terms, as e1
-  // restarts at 1.
-  if (g.watch_base >= 0) {
-    std::fill_n(watch_head_.begin() + g.watch_base, kWatchBuckets, -1);
-    g.watch_floor = kWatchBuckets - 1;
+  // The members' events and watches are re-keyed against the new terms,
+  // as e1 restarts at 1.
+  lists_.ClearGroup(g.event_lists);
+  if (g.watch_lists >= 0) {
+    lists_.ClearGroup(g.watch_lists);
+    g.watch_floor = lists_.buckets() - 1;
   }
   double mass = 0.0;
   double lp = 0.0;
@@ -319,6 +428,8 @@ void FractionalMlp::RebuildGroup(int32_t gi) {
     rq.term = term;
     mass += term;
     lp += rq.csum * term;
+    rq.key = (CapOf(rq, q) + eta_) / term;
+    lists_.Insert(rec_.get(), EventList(rq), q);
     if (rq.watched) {
       WatchRec& w = watch_[static_cast<size_t>(q)];
       if (w.list >= 0) ListWatch(q, w);
@@ -331,6 +442,7 @@ void FractionalMlp::RebuildGroup(int32_t gi) {
   act_lp_[ap] = lp;
   act_e1_[ap] = 1.0;  // base_s == clock_ now, exactly
   d_key_ = kNoIncrements;
+  FindNextEvent(ap, 0);
 }
 
 void FractionalMlp::RebaseGroupsTo(double s_horizon) {
@@ -367,67 +479,49 @@ void FractionalMlp::RefreshE1() {
   d_key_ = kNoIncrements;
 }
 
-void FractionalMlp::PushEvent(PageId p) {
-  PageRec& rec = rec_[static_cast<size_t>(p)];
-  const double w = instance_->weight(p, rec.cursor);
-  const double cap = CapOf(rec, p);
-  const double s_ev =
-      rec.s0 + w * std::log((cap + eta_) / (rec.u0 + eta_));
-  rec.event_s = s_ev;
-  heap_.push(Event{s_ev, p, rec.gen});
-  CompactHeapIfNeeded();
+void FractionalMlp::FindNextEvent(size_t j, int32_t from) {
+  const int32_t lists =
+      groups_[static_cast<size_t>(active_groups_[j])].event_lists;
+  // The group is not empty, and its lowest key heads its first non-empty
+  // list from `from` up.
+  const PageId first =
+      lists_.head(lists_.FirstUsed(lists + from, lists + lists_.buckets()));
+  SetNextEvent(j, first, rec_[static_cast<size_t>(first)].key);
 }
 
-bool FractionalMlp::PeekEvent(Event* out) {
-  while (!heap_.empty()) {
-    const Event& e = heap_.top();
-    const PageRec& rec = rec_[static_cast<size_t>(e.page)];
-    if (rec.state == PageState::kActive && rec.gen == e.gen) {
-      *out = e;
-      return true;
-    }
-    heap_.pop();
-  }
-  return false;
+void FractionalMlp::SetNextEvent(size_t j, PageId p, double key) {
+  // e1 = e^{(S - base_s)/w} reaches key at S = base_s + w log key.
+  act_next_[j] = NextEvent{
+      groups_[static_cast<size_t>(active_groups_[j])].base_s +
+          act_w_[j] * std::log(key),
+      key, p};
 }
 
-void FractionalMlp::CompactHeapIfNeeded() {
-  if (heap_.size() <= 1024 ||
-      heap_.size() <= 8 * static_cast<size_t>(active_count_)) {
-    return;
-  }
-  // Stale entries (lazy deletions) dominate the heap: rebuild it in place
-  // from the live pages' stored event times. Amortized O(1) per push, and
-  // the heap arena is reused — no allocation.
-  heap_.clear();
-  for (const int32_t gi : active_groups_) {
-    for (const PageId q : groups_[static_cast<size_t>(gi)].members) {
-      const PageRec& rq = rec_[static_cast<size_t>(q)];
-      heap_.push_unordered(Event{rq.event_s, q, rq.gen});
+size_t FractionalMlp::NextEventSlot() const {
+  size_t first = 0;
+  NextEvent best = act_next_[0];
+  for (size_t j = 1; j < act_next_.size(); ++j) {
+    const NextEvent& e = act_next_[j];
+    if (e.s < best.s || (e.s == best.s && e.page < best.page)) {
+      first = j;
+      best = e;
     }
   }
-  heap_.heapify();
+  return first;
 }
 
 void FractionalMlp::RenormalizeClock() {
   WMLP_TELEMETRY_COUNTER(renorms, "wmlp_fractional_clock_renorm_total");
   renorms.Inc();
   const double c = clock_;
-  heap_.clear();
-  for (const int32_t gi : active_groups_) {
-    Group& g = groups_[static_cast<size_t>(gi)];
+  for (size_t j = 0; j < active_groups_.size(); ++j) {
+    Group& g = groups_[static_cast<size_t>(active_groups_[j])];
     g.base_s -= c;
-    for (const PageId q : g.members) {
-      PageRec& rq = rec_[static_cast<size_t>(q)];
-      rq.s0 -= c;
-      rq.event_s -= c;
-      heap_.push_unordered(Event{rq.event_s, q, rq.gen});
-    }
+    act_next_[j].s -= c;
+    for (const PageId q : g.members) rec_[static_cast<size_t>(q)].s0 -= c;
   }
   // Empty groups keep a base in old coordinates; GroupInsert rebases them
-  // before use. The heap is rebuilt in its arena so live entries carry
-  // shifted times (stale entries are dropped wholesale).
-  heap_.heapify();
+  // before use.
   clock_ = 0.0;
 }
 
@@ -496,7 +590,6 @@ void FractionalMlp::ProcessEvent(PageId p) {
   const Level oldc = rec.cursor;
   const double cap = oldc == 1 ? 1.0 : u_[Idx(p, oldc - 1)];
   for (Level j = oldc; j <= ell_; ++j) u_[Idx(p, j)] = cap;
-  ++rec.gen;
   ++events_processed_;
 
   Level newc = 0;
@@ -540,7 +633,6 @@ void FractionalMlp::ProcessEvent(PageId p) {
   rec.s0 = clock_;
   rec.csum = SuffixWeight(p, newc);
   GroupInsert(p);
-  PushEvent(p);
   AddClassMass(p, +1.0);
   RetimeWatch(p);
 }
@@ -555,7 +647,6 @@ void FractionalMlp::DetachAndMaterialize(PageId p) {
     const double val = DynamicU(p);
     AddClassMass(p, -1.0);
     GroupRemove(p);
-    ++rec.gen;
     for (Level j = rec.cursor; j <= ell_; ++j) u_[Idx(p, j)] = val;
   }
   rec.state = PageState::kDetached;
@@ -585,9 +676,7 @@ void FractionalMlp::Activate(PageId p) {
   rec.u0 = u_[Idx(p, newc)];
   rec.s0 = clock_;
   rec.csum = SuffixWeight(p, newc);
-  ++rec.gen;
   GroupInsert(p);
-  PushEvent(p);
   AddClassMass(p, +1.0);
 }
 
@@ -615,8 +704,9 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
   bool rose = false;  // whether the water (every group's e1) rose
   if (need > kEps) {
     while (need > kEps) {
-      Event ev;
-      WMLP_CHECK_MSG(PeekEvent(&ev), "no page available for eviction");
+      WMLP_CHECK_MSG(!act_next_.empty(), "no page available for eviction");
+      const size_t slot = NextEventSlot();
+      const NextEvent ev = act_next_[slot];
       {
         // A page whose remaining rise to its cap is within kEps is due:
         // advance its cursor without moving the clock. This mirrors the
@@ -626,12 +716,8 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
         // The gap is cap minus the unclamped live value term * e1 - eta,
         // which equals (cap + eta)(1 - e^{(clock - s_ev)/w}) with no exp.
         const PageRec& rec = rec_[static_cast<size_t>(ev.page)];
-        const double w = instance_->weight(ev.page, rec.cursor);
         const double remaining =
-            CapOf(rec, ev.page) + eta_ -
-            rec.term *
-                act_e1_[static_cast<size_t>(
-                    groups_[static_cast<size_t>(rec.group_of)].active_pos)];
+            CapOf(rec, ev.page) + eta_ - rec.term * act_e1_[slot];
         if (remaining <= kEps) {
           // The gap to the cap is still real movement and must be charged:
           // on heavy pages even a kEps-sized rise carries O(w * kEps) cost,
@@ -639,8 +725,7 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
           // mechanism (snap or charged clock advance) performs it.
           const double rise = std::max(0.0, remaining);
           lp_cost_ += rec.csum * rise;
-          movement_cost_ += w * rise;
-          heap_.pop();
+          movement_cost_ += act_w_[slot] * rise;
           ProcessEvent(ev.page);
           need = target - TotalAbsentMass();
           continue;
@@ -685,7 +770,6 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
       }
       AdvanceClock(ds_ev, ev.s);
       rose = true;
-      heap_.pop();
       ProcessEvent(ev.page);
       need = target - TotalAbsentMass();
     }
@@ -709,8 +793,61 @@ void FractionalMlp::Serve(Time /*t*/, const Request& r) {
   }
 
   if constexpr (audit::kEnabled) {
+    AuditEventLists();
     audit::AuditFractionalState(inst, *this);
     audit::AuditFractionalServed(inst, *this, r);
+  }
+}
+
+void FractionalMlp::AuditEventLists() const {
+  std::vector<int32_t> listed(static_cast<size_t>(n_), 0);
+  for (size_t gi = 0; gi < groups_.size(); ++gi) {
+    const Group& g = groups_[gi];
+    PageId lowest = -1;  // the head of the group's first non-empty list
+    double min_key = 0.0;
+    for (int32_t list = g.event_lists;
+         list < g.event_lists + lists_.buckets(); ++list) {
+      const PageId first = lists_.head(list);
+      WMLP_AUDIT_CHECK((lists_.FirstUsed(list, list + 1) == list) ==
+                           (first >= 0),
+                       "event list " << list << " is marked wrongly");
+      if (first < 0) continue;
+      if (lowest < 0) {
+        lowest = first;
+        min_key = rec_[static_cast<size_t>(first)].key;
+      }
+      PageId q = first;
+      do {
+        const PageRec& rq = rec_[static_cast<size_t>(q)];
+        const PageId next = rq.next;
+        const PageRec* rn = next >= 0 ? &rec_[static_cast<size_t>(next)] : &rq;
+        WMLP_AUDIT_CHECK(
+            Fresh(q) && rq.state == PageState::kActive &&
+                rq.group_of == static_cast<int32_t>(gi) &&
+                ++listed[static_cast<size_t>(q)] == 1 &&
+                rq.key == (CapOf(rq, q) + eta_) / rq.term &&
+                EventList(rq) == list && next >= 0 && rn->prev == q &&
+                (next == first || rq.key <= rn->key),
+            "page " << q << " in event list " << list << " of group " << gi
+                    << " is not an active member listed once, in order, "
+                       "under its key");
+        min_key = std::min(min_key, rq.key);
+        q = next;
+      } while (q != first);
+    }
+    if (g.active_pos < 0) continue;
+    const NextEvent& cached = act_next_[static_cast<size_t>(g.active_pos)];
+    WMLP_AUDIT_CHECK(cached.key == min_key && cached.page == lowest,
+                     "group " << gi << " caches event (" << cached.page << ", "
+                              << cached.key << "), its lists start at ("
+                              << lowest << ", " << min_key << ")");
+  }
+  for (PageId p = 0; p < n_; ++p) {
+    const bool active =
+        Fresh(p) && rec_[static_cast<size_t>(p)].state == PageState::kActive;
+    WMLP_AUDIT_CHECK(listed[static_cast<size_t>(p)] == (active ? 1 : 0),
+                     "page " << p << " is listed "
+                             << listed[static_cast<size_t>(p)] << " times");
   }
 }
 
@@ -758,7 +895,7 @@ void FractionalMlp::ArmWatch(PageId p, Level i, double x) {
   PageRec& rec = Rec(p);  // materializes an untouched page as absent
   WatchRec& w = watch_[static_cast<size_t>(p)];
   if (rec.watched) {
-    UnlistWatch(w);
+    UnlistWatch(p, w);
   } else {
     rec.watched = true;
   }
@@ -783,47 +920,30 @@ bool FractionalMlp::watch(PageId p, Level* i, double* x) const {
   return true;
 }
 
-int32_t FractionalMlp::WatchBucket(double key) {
-  // The biased exponent and the top four mantissa bits, counted from 1.0.
-  const int64_t b = static_cast<int64_t>(std::bit_cast<uint64_t>(key) >> 48) -
-                    (int64_t{1023} << 4);
-  return static_cast<int32_t>(std::clamp<int64_t>(b, 0, kWatchBuckets - 1));
-}
-
 void FractionalMlp::ListWatch(PageId p, WatchRec& w) {
   const PageRec& rec = rec_[static_cast<size_t>(p)];
   Group& g = groups_[static_cast<size_t>(rec.group_of)];
-  if (g.watch_base < 0) {
-    g.watch_base = static_cast<int32_t>(watch_head_.size());
-    g.watch_floor = kWatchBuckets - 1;
-    watch_head_.resize(watch_head_.size() + kWatchBuckets, -1);
+  if (g.watch_lists < 0) {
+    g.watch_lists = lists_.AddGroup();
+    g.watch_floor = lists_.buckets() - 1;
   }
   w.key = (w.x + eta_) / rec.term;
-  const int32_t bucket = WatchBucket(w.key);
-  w.list = g.watch_base + bucket;
-  PageId& head = watch_head_[static_cast<size_t>(w.list)];
-  w.prev = -1;
-  w.next = head;
-  if (head >= 0) watch_[static_cast<size_t>(head)].prev = p;
-  head = p;
+  const int32_t bucket = lists_.Bucket(w.key);
+  w.list = g.watch_lists + bucket;
+  lists_.Append(watch_.get(), w.list, p);
   g.watch_floor = std::min(g.watch_floor, bucket);
 }
 
-void FractionalMlp::UnlistWatch(WatchRec& w) {
+void FractionalMlp::UnlistWatch(PageId p, WatchRec& w) {
   if (w.list < 0) return;
-  if (w.prev >= 0) {
-    watch_[static_cast<size_t>(w.prev)].next = w.next;
-  } else {
-    watch_head_[static_cast<size_t>(w.list)] = w.next;
-  }
-  if (w.next >= 0) watch_[static_cast<size_t>(w.next)].prev = w.prev;
+  lists_.Unlink(watch_.get(), w.list, p);
   w.list = -1;
 }
 
 void FractionalMlp::ClearWatch(PageId p) {
   PageRec& rec = rec_[static_cast<size_t>(p)];
   if (!rec.watched) return;
-  UnlistWatch(watch_[static_cast<size_t>(p)]);
+  UnlistWatch(p, watch_[static_cast<size_t>(p)]);
   rec.watched = false;
 }
 
@@ -856,25 +976,33 @@ void FractionalMlp::RetimeWatch(PageId p) {
 void FractionalMlp::DrainWatches() {
   for (size_t j = 0; j < active_groups_.size(); ++j) {
     Group& g = groups_[static_cast<size_t>(active_groups_[j])];
-    if (g.watch_base < 0) continue;
+    if (g.watch_lists < 0) continue;
     const double e1 = act_e1_[j];
-    const int32_t top = WatchBucket(e1);
-    // Every key in a bucket below e1's is below e1: those lists fire whole.
-    for (int32_t b = g.watch_floor; b < top; ++b) {
-      PageId& head = watch_head_[static_cast<size_t>(g.watch_base + b)];
-      for (PageId p = head; p >= 0;
-           p = watch_[static_cast<size_t>(p)].next) {
+    const int32_t top = lists_.Bucket(e1);
+    const int32_t top_list = g.watch_lists + top;
+    // Every key in a list below e1's is below e1: those lists fire whole.
+    for (int32_t list = lists_.FirstUsed(g.watch_lists + g.watch_floor,
+                                         top_list);
+         list < top_list; list = lists_.FirstUsed(list + 1, top_list)) {
+      const PageId first = lists_.head(list);
+      PageId p = first;
+      do {
         rec_[static_cast<size_t>(p)].watched = false;
         fired_.push_back(p);
-      }
-      head = -1;
+        p = watch_[static_cast<size_t>(p)].next;
+      } while (p != first);
+      lists_.Drop(list);
     }
-    for (PageId p = watch_head_[static_cast<size_t>(g.watch_base + top)];
-         p >= 0;) {
-      const WatchRec& w = watch_[static_cast<size_t>(p)];
-      const PageId next = w.next;
-      if (w.key < e1) FireWatch(p);
-      p = next;
+    // e1's own list fires its keys below e1, walked from its head to its
+    // last node (the head's prev), as firing unlinks.
+    if (PageId p = lists_.head(top_list); p >= 0) {
+      const PageId last = watch_[static_cast<size_t>(p)].prev;
+      for (PageId next = p; next != last;) {
+        p = next;
+        next = watch_[static_cast<size_t>(p)].next;
+        if (watch_[static_cast<size_t>(p)].key < e1) FireWatch(p);
+      }
+      if (watch_[static_cast<size_t>(last)].key < e1) FireWatch(last);
     }
     g.watch_floor = top;
   }

@@ -23,9 +23,6 @@
 //     exponential (u0 + eta) e^{(S - s0)/w} - eta, computed on demand;
 //   - a per-page deepest-non-empty-level cursor; levels >= cursor all share
 //     the cursor's (dynamic) value, levels < cursor are frozen in u_;
-//   - segment boundaries are a min-heap of absolute event times
-//     s = s0 + w log((cap + eta)/(u0 + eta)) with lazy deletion, popped in
-//     O(log n) instead of a full-array min-scan;
 //   - pages are grouped by their cursor weight w; each group maintains
 //     aggregate sums A = sum (u0 + eta) e^{-s0/w} (mass) and
 //     B = sum c_q (u0 + eta) e^{-s0/w} (LP cost, c_q = suffix weight sum),
@@ -33,25 +30,36 @@
 //     absent-mass total, the stopping-clock Newton solve, and both cost
 //     meters evaluate in O(#distinct weights) per segment with no per-page
 //     work;
+//   - a cursor page reaches its cap when its group's factor
+//     e1 = e^{(S - base_s)/w} reaches the key K = (cap + eta) / term, so
+//     each group lists its pages' cap events by K (see KeyLists) and
+//     caches its earliest key and that event's time base_s + w log K: the
+//     segment horizon is a minimum over the active groups' cached times,
+//     and a `log` is paid only when a group's earliest event changes.
+//     Equal keys in a group keep their listing order (a rebuild re-lists
+//     in member order); equal times across groups go to the lower page;
 //   - each segment is solved in its own time ds = s - S: Newton starts at
 //     the root of the gain's second-order Taylor bound (no exponential)
 //     when that already meets the need, else at the event horizon, and
 //     the cost accrual reuses the increments of the last gain evaluation,
 //     so the expm1 passes per segment are the gain evaluations alone.
 //
-// Per-request work is O((ell + E) (G + log n)) where E is the number of
-// cap events fired (amortized: each request adds at most ell future
-// events) and G the number of distinct w(p, cursor) weights in the active
-// set — instead of O(n ell) per segment. Each segment pays one exp-free
-// O(G) pass for the Taylor start and a few O(G) gain evaluations, one
-// expm1 per group each (gain_evaluations() counts them). Hierarchies
-// with shared level weights (the common case: level costs are device
-// properties) have G <= ell. Fully per-page weight models degrade
-// gracefully to the reference's per-segment cost. The randomized policy
-// does not meet that regime: it attaches this solver to class-ceiling
-// weights (G <= number of weight classes; ClassCeilingInstance in
-// core/weight_classes.h), so the degradation applies to direct callers on
-// per-page weights.
+// Per-request work is O((ell + E) G) plus list walks, where E is the
+// number of cap events fired (amortized: each request adds at most ell
+// future events) and G the number of distinct w(p, cursor) weights in the
+// active set — instead of O(n ell) per segment. Unlisting an event and
+// finding its group's next one are O(1); listing one walks its list only
+// when its key falls strictly inside the list's keys, which lie within
+// 1/16 of an octave. Each segment pays one exp-free O(G) pass for the
+// Taylor start and a few O(G) gain evaluations, one expm1 per group each
+// (gain_evaluations() counts them).
+// Hierarchies with shared level weights (the common case: level costs
+// are device properties) have G <= ell. Fully per-page weight models
+// degrade gracefully to the reference's per-segment cost. The randomized
+// policy does not meet that regime: it attaches this solver to
+// class-ceiling weights (G <= number of weight classes;
+// ClassCeilingInstance in core/weight_classes.h), so the degradation
+// applies to direct callers on per-page weights.
 //
 // The trajectory matches FractionalMlpReference to fp accuracy
 // (cross-checked to 1e-9 by tests/fractional_fast_test.cpp over randomized
@@ -59,7 +67,8 @@
 //
 // The §4.3 rounding's threshold watches (FractionalPolicy below) are
 // answered from the same state: a watch is keyed by its weight group's
-// factor e1 (see ArmWatch), so it costs no log and no heap operation.
+// factor e1 (see ArmWatch) in lists of the cap events' layout, so it
+// costs no log and no heap operation.
 #pragma once
 
 #include <algorithm>
@@ -72,7 +81,6 @@
 #include "lp/paging_lp.h"
 #include "trace/instance.h"
 #include "util/bitkey_index.h"
-#include "util/dheap.h"
 
 namespace wmlp {
 
@@ -212,9 +220,9 @@ class FractionalMlp final : public FractionalPolicy {
   // factor e1 = e^{(S - base_s)/w} — live in the parallel act_* SoA arrays
   // at index active_pos while the group is non-empty (see the act_*
   // comment below); the struct itself keeps membership, the base clock
-  // and where its watch lists are. The sums are rebuilt from members
-  // before exponents can overflow and periodically to shed removal
-  // cancellation error.
+  // and where its event and watch lists are. The sums are rebuilt from
+  // members before exponents can overflow and periodically to shed
+  // removal cancellation error.
   struct Group {
     double w = 0.0;
     double base_s = 0.0;
@@ -222,28 +230,28 @@ class FractionalMlp final : public FractionalPolicy {
     std::vector<PageId> members;
     int64_t removals = 0;   // since last rebuild
     int32_t active_pos = -1;  // index in active_groups_ / act_*, -1 if empty
-    // Its kWatchBuckets list heads in watch_head_, from its first listed
-    // watch on (-1 before: a solver run without watches holds none), and
-    // the lowest bucket that may hold a watch.
-    int32_t watch_base = -1;
+    // The first of its KeyLists::buckets() cap-event lists, from its
+    // creation on.
+    int32_t event_lists = -1;
+    // The first of its watch lists, from its first listed watch on (-1
+    // before: a solver run without watches holds none), and the lowest
+    // bucket that may hold a watch.
+    int32_t watch_lists = -1;
     int32_t watch_floor = 0;
   };
 
-  struct Event {
+  // An active group's earliest cap event: its lowest key (the first
+  // listed on a tie), that page, and its time base_s + w log key.
+  struct NextEvent {
     double s;
+    double key;
     PageId page;
-    uint32_t gen;  // must match gen_[page] or the entry is stale
-  };
-  struct EventBefore {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.s < b.s;
-    }
   };
 
   enum class PageState : uint8_t { kAbsent, kActive, kDetached };
 
   // Hot per-page solver state packed into one cache line (64 bytes). The
-  // serve path touches u0/s0/cursor/state/gen for every page it visits;
+  // serve path touches u0/s0/cursor/state/key for every page it visits;
   // keeping them in parallel arrays cost ~10 scattered cache misses per
   // page, one per array. Aligned to the line, so the array's placement in
   // the heap cannot split a record across two. No default member
@@ -251,16 +259,17 @@ class FractionalMlp final : public FractionalPolicy {
   // (make_unique_for_overwrite) and records are materialized lazily by
   // Rec() on first touch per Attach epoch.
   struct alignas(64) PageRec {
-    double u0;       // value at cursor at materialization
-    double s0;       // materialization clock
-    double csum;     // sum_{j >= cursor} w(p, j)
-    double event_s;  // current cap-event time (heap rebuilds)
-    double term;     // cached group term (u0 + eta) e^{(base_s - s0)/w};
-                     // exactly what GroupInsert / RebuildGroup added, so
-                     // GroupRemove subtracts it back out bit-exactly.
-    uint32_t gen;    // event staleness generation
+    double u0;    // value at cursor at materialization
+    double s0;    // materialization clock
+    double csum;  // sum_{j >= cursor} w(p, j)
+    double term;  // cached group term (u0 + eta) e^{(base_s - s0)/w};
+                  // exactly what GroupInsert / RebuildGroup added, so
+                  // GroupRemove subtracts it back out bit-exactly.
+    double key;   // cap-event key (cap + eta) / term while active
     int32_t group_of;
     int32_t pos_in_group;
+    PageId next;  // neighbours in its cap-event list while active
+    PageId prev;
     Level cursor;
     PageState state;
     bool watched;  // a watch is armed (its WatchRec is valid)
@@ -269,23 +278,82 @@ class FractionalMlp final : public FractionalPolicy {
 
   // A page's threshold watch, read only while PageRec::watched — so a run
   // without watches never touches this array, which is allocated
-  // uninitialized. A listed watch is a node of its list, linked through
-  // the pages' records, so listing and unlisting allocate nothing.
+  // uninitialized.
   struct WatchRec {
     double x;      // threshold
     double key;    // K = (x + eta) / term while listed
-    PageId next;   // neighbours in its list, -1 at either end
+    PageId next;   // neighbours in its list while listed
     PageId prev;
-    int32_t list;  // its list's head in watch_head_, -1 while not listed
+    int32_t list;  // its list in lists_, -1 while not listed
     Level level;
   };
-  // Watch lists per weight group: bucket b holds the keys whose exponent
-  // and top four mantissa bits give b (sixteen buckets per octave, so the
-  // bucket e1 sits in holds about one watch), K < 1 + 1/16 in bucket 0
-  // and K >= 2^12 in the last. e1 stays below e^kMaxGroupExp (< 2^12)
-  // between rebuilds, so the last bucket waits for a re-key.
-  static constexpr int32_t kWatchBuckets = 16 * 12 + 1;
-  static int32_t WatchBucket(double key);
+
+  // Per weight group, lists of pages keyed by a value of the group's
+  // factor e1: a cap event's K = (cap + eta) / term, a watch's
+  // (x + eta) / term. A group's list b holds the keys whose exponent and
+  // top four mantissa bits give b, counted from 1.0 (sixteen per octave,
+  // so e1's list holds about one entry); keys below 1 + 1/16 go to list
+  // 0. Between rebuilds e1 <= e^kMaxGroupExp and a term is at least
+  // eta / e1, so no key with x or cap at most 1 exceeds
+  // e^kMaxGroupExp (1 + eta) / eta: Reset sizes the range from eta, and
+  // the last list takes any key past it. An event list is sorted by key,
+  // equal keys in listing order, so a group's lowest key heads its first
+  // non-empty list; a watch list keeps listing order. Lists are circular
+  // and doubly linked through records of type Node (fields key, next and
+  // prev), so the head's prev is the last node, and listing and unlisting
+  // allocate nothing. A bit per list marks the non-empty ones.
+  class KeyLists {
+   public:
+    void Reset(double eta);
+    // Lists per group: a multiple of 64, so a group's bits fill words.
+    int32_t buckets() const { return buckets_; }
+    int32_t Bucket(double key) const;
+    // Appends a group's lists, all empty; returns the first.
+    int32_t AddGroup() {
+      const auto first = static_cast<int32_t>(head_.size());
+      head_.resize(head_.size() + static_cast<size_t>(buckets_), -1);
+      used_.resize(head_.size() / 64, 0);
+      return first;
+    }
+    // Empties the lists [first, first + buckets()).
+    void ClearGroup(int32_t first) {
+      std::fill_n(head_.begin() + first, buckets_, -1);
+      std::fill_n(used_.begin() + first / 64, buckets_ / 64, 0);
+    }
+    PageId& head(int32_t list) { return head_[static_cast<size_t>(list)]; }
+    PageId head(int32_t list) const {
+      return head_[static_cast<size_t>(list)];
+    }
+    // The first non-empty list in [from, end), or end; both in one group.
+    int32_t FirstUsed(int32_t from, int32_t end) const;
+    // Empties one list without visiting its nodes.
+    void Drop(int32_t list) {
+      head(list) = -1;
+      word(list) &= ~bit(list);
+    }
+    // Lists p last.
+    template <typename Node>
+    void Append(Node* nodes, int32_t list, PageId p);
+    // Lists p in key order, after equal keys: O(1) when nodes[p].key is
+    // below the list's keys or at least their largest, a walk otherwise.
+    template <typename Node>
+    void Insert(Node* nodes, int32_t list, PageId p);
+    template <typename Node>
+    void Unlink(Node* nodes, int32_t list, PageId p);
+
+   private:
+    template <typename Node>
+    static void LinkBefore(Node* nodes, PageId next, PageId p);
+    uint64_t& word(int32_t list) {
+      return used_[static_cast<size_t>(list) / 64];
+    }
+    static uint64_t bit(int32_t list) { return uint64_t{1} << (list % 64); }
+
+    int32_t buckets_ = 0;
+    std::vector<PageId> head_;
+    std::vector<uint64_t> used_;
+  };
+
   // Exact e1 refresh cadence (see RefreshE1): the incremental advance
   // drifts by ~1 ulp per accrual, so 1024 accruals keep the accumulated
   // drift near 1e-13 — well under kEps — while the refresh's ExpBatch cost
@@ -313,9 +381,7 @@ class FractionalMlp final : public FractionalPolicy {
       rec.u0 = 0.0;
       rec.s0 = 0.0;
       rec.csum = 0.0;
-      rec.event_s = 0.0;
       rec.term = 0.0;
-      rec.gen = 0;
       rec.group_of = -1;
       rec.pos_in_group = -1;
       rec.cursor = 0;
@@ -347,18 +413,27 @@ class FractionalMlp final : public FractionalPolicy {
   // tolerance.
   void RefreshE1();
 
-  void PushEvent(PageId p);
-  // Drops stale heap entries; returns false if no live event remains.
-  bool PeekEvent(Event* out);
-  void CompactHeapIfNeeded();
+  // The cap-event list of an active page, from its key.
+  int32_t EventList(const PageRec& rec) const {
+    return groups_[static_cast<size_t>(rec.group_of)].event_lists +
+           lists_.Bucket(rec.key);
+  }
+  // Caches the head of group slot j's first non-empty list from its list
+  // `from` up, its lowest key, as the slot's earliest event.
+  void FindNextEvent(size_t j, int32_t from);
+  // Caches page p, keyed `key`, as group slot j's earliest event.
+  void SetNextEvent(size_t j, PageId p, double key);
+  // The active slot whose cached event comes first (at least one group
+  // must be active).
+  size_t NextEventSlot() const;
   // Shifts every s-coordinate down by clock_ and resets clock_ to 0. The
   // clock is monotone, and once it grows large its ulp exceeds the 1e-12
   // resolution the light-weight pages need (after a heavy-weight event the
   // clock can sit at ~w_max * log(1/eta)). Quantities near the clock shift
   // exactly (Sterbenz); far ones belong to proportionally heavy weights,
   // which absorb the O(ulp(clock)) shift error as O(ulp(clock)/w) in the
-  // exponent. Terms, e1 factors and watch keys are differences of clocks,
-  // so they stay as they are.
+  // exponent. Terms, e1 factors and list keys are differences of clocks,
+  // so they stay as they are; the groups' cached event times shift.
   void RenormalizeClock();
 
   // Total absent mass sum_p u(p, ell) at the current clock, evaluated
@@ -398,7 +473,7 @@ class FractionalMlp final : public FractionalPolicy {
   // Lists p's watch in its group under K = (x + eta) / term.
   void ListWatch(PageId p, WatchRec& w);
   // Takes p's watch off its list, if it is listed.
-  void UnlistWatch(WatchRec& w);
+  void UnlistWatch(PageId p, WatchRec& w);
   void FireWatch(PageId p);
   void ClearWatch(PageId p);
   // Fires every listed watch whose key its group's e1 now exceeds; run at
@@ -407,6 +482,10 @@ class FractionalMlp final : public FractionalPolicy {
   // Adds the counts below to their registry counters and zeroes them, on
   // re-Attach and destruction, so Serve makes no registry call.
   void PublishCounts();
+  // WMLP_AUDIT: every active page's cap event is listed once, under its
+  // key and in its group, nothing else is listed, and each group's cached
+  // earliest event is its lists' minimum.
+  void AuditEventLists() const;
 
   FractionalOptions options_;
   const Instance* instance_ = nullptr;
@@ -434,9 +513,6 @@ class FractionalMlp final : public FractionalPolicy {
   // (std::bit_cast<uint64_t>(w)): exact, allocation-free, and immune to
   // float-hashing hazards (-0.0, denormals, truncating hashers).
   BitKeyIndex group_index_;
-  // Cap events, min-s first, with lazy deletion via gen_; the arena is
-  // reused across compactions and clock renormalizations.
-  DHeap<Event, EventBefore> heap_;
   int64_t absent_count_ = 0;
   int64_t active_count_ = 0;
 
@@ -459,6 +535,8 @@ class FractionalMlp final : public FractionalPolicy {
   std::vector<double> act_e1_;
   std::vector<double> act_cnt_;
   std::vector<double> act_iw_;
+  // Each active group's earliest cap event.
+  std::vector<NextEvent> act_next_;
   // The last SegmentGain's per-group increments e1 * expm1(ds/w), valid
   // while d_key_ holds that ds's bit pattern. Any change to the group
   // arrays sets d_key_ to kNoIncrements (a NaN pattern no ds carries).
@@ -473,10 +551,10 @@ class FractionalMlp final : public FractionalPolicy {
   // The request being served; it is detached for the whole of step 2.
   PageId req_page_ = -1;
 
-  // Threshold watches: per-page records, each list's first page (-1 when
-  // empty; Group::watch_base + bucket), and the last Serve's fired pages.
+  // Every group's cap-event and watch lists.
+  KeyLists lists_;
+  // Threshold watches: per-page records and the last Serve's fired pages.
   std::unique_ptr<WatchRec[]> watch_;
-  std::vector<PageId> watch_head_;
   std::vector<PageId> fired_;
 
   // Per weight class, the active pages' fixed marginals: frozen

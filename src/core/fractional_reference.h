@@ -1,12 +1,12 @@
 // Reference implementation of the Section 4.2 fractional multiplicative
 // update: the direct transcription that rescans all n pages per eviction
 // segment, O(n·ℓ·segments) per request. `FractionalMlp` (core/fractional.h)
-// computes the identical trajectory output-sensitively with an event heap;
-// this class is kept as the cross-check oracle for the randomized
-// equivalence suite (tests/fractional_fast_test.cpp) and as the "old"
-// column of the perf suite (bench/bench_perf_suite.cpp). Semantics and cost
-// meters match FractionalMlp to fp accuracy; see that header for the
-// algorithm description.
+// computes the identical trajectory output-sensitively from per-group cap
+// event lists; this class is kept as the cross-check oracle for the
+// randomized equivalence suite (tests/fractional_fast_test.cpp) and as the
+// "old" column of the perf suite (bench/bench_perf_suite.cpp). Semantics
+// and cost meters match FractionalMlp to fp accuracy; see that header for
+// the algorithm description.
 #pragma once
 
 #include "core/fractional.h"

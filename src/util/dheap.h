@@ -16,11 +16,10 @@
 // (correctly) flag as statically reachable from any WMLP_HOT caller even
 // when reserve() made it unreachable dynamically.
 //
-// Rebuilds reuse the arena too: clear(), a run of push_unordered(), then
+// Rebuilds reuse the arena too: an in-place filter (waterfill's
+// compaction) mutates entries() and shrinks with truncate(), then
 // heapify() is Floyd's O(n) bottom-up construction with no intermediate
-// vector, which is how the fractional solver's compaction and clock
-// renormalization stay allocation-free. In-place filters (waterfill's
-// compaction) mutate entries() and shrink with truncate().
+// vector.
 //
 // Ordering note: with a total-order comparator the pop sequence is the
 // sorted sequence regardless of arity, so swapping a binary heap for this
@@ -74,13 +73,6 @@ class DHeap {
     storage_[0] = storage_[n_ - 1];
     --n_;
     if (n_ != 0) SiftDown(0);
-  }
-
-  // Appends without restoring heap order; pair with heapify(). Used for
-  // allocation-free rebuilds (compaction, coordinate shifts).
-  void push_unordered(const T& value) {
-    if (n_ == storage_.size()) coldpath::GrowTo(storage_, n_ + 1);
-    storage_[n_++] = value;
   }
 
   // Floyd's bottom-up heap construction: O(n).

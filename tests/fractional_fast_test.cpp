@@ -17,6 +17,7 @@
 #include "core/fractional_reference.h"
 #include "core/stopping_clock.h"
 #include "core/weight_classes.h"
+#include "telemetry/telemetry.h"
 #include "trace/generators.h"
 #include "util/rng.h"
 
@@ -198,18 +199,24 @@ int64_t ExpectWatchesFireInLockstep(const Trace& trace, uint64_t seed) {
   return ExpectWatchesFireInLockstep(trace, seed, fast);
 }
 
-// The traces the watch lockstep runs: 60 random shapes, then three long
-// heavy-weight ones that renormalize the clock many times over.
-std::vector<Trace> WatchLockstepTraces() {
+// Long heavy-weight traces that renormalize the clock many times over,
+// each time with every active page's cap event listed: three with
+// per-page weights, two with three level-determined weight groups whose
+// cached event times all shift.
+std::vector<Trace> ClockRenormalizationTraces() {
   std::vector<Trace> traces;
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    traces.push_back(MakeRandomTrace(seed));
-  }
   for (uint64_t seed = 0; seed < 3; ++seed) {
     Instance inst(24, 6, 2,
                   MakeWeights(24, 2, WeightModel::kLogUniform, 1e3, seed));
     traces.push_back(
         GenZipf(inst, 3000, 0.6, LevelMix::UniformMix(2), seed + 7));
+  }
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    Instance inst(24, 6, 3,
+                  MakeWeights(24, 3, WeightModel::kGeometricLevels, 1e3,
+                              seed));
+    traces.push_back(
+        GenZipf(inst, 3000, 0.6, LevelMix::UniformMix(3), seed + 11));
   }
   return traces;
 }
@@ -228,12 +235,129 @@ TEST(FractionalFast, WatchesSurviveClockRenormalization) {
   // Heavy weights advance the water clock past the renormalization
   // threshold many times over a long trace; watch keys are relative to
   // their group's base clock, so they need no shift.
-  const std::vector<Trace> traces = WatchLockstepTraces();
+  const std::vector<Trace> traces = ClockRenormalizationTraces();
   int64_t fired_total = 0;
-  for (uint64_t seed = 0; seed < 3; ++seed) {
-    fired_total += ExpectWatchesFireInLockstep(traces[60 + seed], seed);
+  for (size_t i = 0; i < traces.size(); ++i) {
+    fired_total += ExpectWatchesFireInLockstep(traces[i], i);
   }
   EXPECT_GT(fired_total, 1000);
+}
+
+// Clock renormalizations so far in this process.
+uint64_t ClockRenormalizations() {
+  for (const telemetry::MetricSnapshot& m :
+       telemetry::Registry::Get().Collect()) {
+    if (m.name == "wmlp_fractional_clock_renorm_total") return m.counter_value;
+  }
+  return 0;
+}
+
+TEST(FractionalFast, EventsSurviveClockRenormalization) {
+  // The same traces in full-state lockstep: each renormalization shifts
+  // the groups' cached event times, and the next horizon must still be
+  // the reference's.
+  const std::vector<Trace> traces = ClockRenormalizationTraces();
+  for (size_t i = 0; i < traces.size(); ++i) {
+    const uint64_t before = ClockRenormalizations();
+    ExpectLockstepEquivalent(traces[i], {}, "trace " + std::to_string(i));
+    if (HasFatalFailure()) return;
+    EXPECT_GT(ClockRenormalizations(), before + 10) << "trace " << i;
+  }
+}
+
+TEST(FractionalFast, EqualKeysInAGroupDepartTogether) {
+  // Requests that leave the clock where it was give the pages they serve
+  // equal cap-event keys: here the cache's first k pages, all served at
+  // the lowest level into one weight group. Nothing requests them again,
+  // so they rise together and reach their caps in one Serve: one event at
+  // the horizon, the rest snapped, in the order they were listed.
+  for (const int32_t ell : {1, 2}) {
+    for (const int32_t k : {4, 16}) {
+      const int32_t n = 3 * k;
+      Trace trace{Instance(n, k, ell,
+                           MakeWeights(n, ell, WeightModel::kGeometricLevels,
+                                       4.0, 31)),
+                  {}};
+      for (PageId p = 0; p < k; ++p) trace.requests.push_back({p, ell});
+      for (int32_t r = 0; r < 6 * n; ++r) {
+        trace.requests.push_back({k + r % (n - k), 1 + r % ell});
+      }
+      const std::string label =
+          "ell=" + std::to_string(ell) + " k=" + std::to_string(k);
+      ExpectLockstepEquivalent(trace, {}, label);
+      if (HasFatalFailure()) return;
+      FractionalMlp fast;
+      fast.Attach(trace.instance);
+      Time t = 0;
+      while (t < trace.length() && fast.U(0, ell) < 1.0) {
+        fast.Serve(t, trace.requests[static_cast<size_t>(t)]);
+        ++t;
+      }
+      ASSERT_LT(t, trace.length()) << label << ": page 0 never departed";
+      for (PageId p = 1; p < k; ++p) {
+        EXPECT_EQ(fast.U(p, ell), 1.0) << label << " page " << p;
+      }
+    }
+  }
+}
+
+TEST(FractionalFast, FreshKeysPastTheOldWatchCeilingMatchReference) {
+  // k = 2^13: a page served into an empty row keys its cap event at
+  // e1 (1 + eta) / eta = e1 (k + 1), above 2^13. Sixteen light pages share
+  // eight cache slots' worth of churn while k - 8 heavy ones barely move,
+  // so the light group's earliest event is always such a key, and it
+  // fires about once per request.
+  constexpr int32_t k = 1 << 13;
+  constexpr int32_t n = k + 8;
+  constexpr int32_t light = 16;
+  std::vector<std::vector<Cost>> w(static_cast<size_t>(n), {1e6});
+  for (PageId p = 0; p < light; ++p) w[static_cast<size_t>(p)] = {1.0};
+  Trace trace{Instance(n, k, 1, std::move(w)), {}};
+  for (PageId p = light; p < n; ++p) trace.requests.push_back({p, 1});
+  for (int32_t r = 0; r < 8 + 200; ++r) {
+    trace.requests.push_back({r % light, 1});
+  }
+  ExpectLockstepEquivalent(trace, {}, "k=2^13");
+  FractionalMlp fast;
+  fast.Attach(trace.instance);
+  for (Time t = 0; t < trace.length(); ++t) {
+    fast.Serve(t, trace.requests[static_cast<size_t>(t)]);
+  }
+  EXPECT_GT(fast.events_processed(), 150);
+}
+
+TEST(FractionalFast, GroupThatEmptiesAndReactivatesMatchesReference) {
+  // Two level-determined weight groups. A loop of level-1 requests gives
+  // every page its cursor at level 1, so the level-2 group empties while
+  // the level-1 group holds every event; level-2 requests then bring it
+  // back on a fresh slot, several times over.
+  constexpr int32_t n = 32;
+  Trace trace{Instance(n, 8, 2,
+                       MakeWeights(n, 2, WeightModel::kGeometricLevels, 4.0,
+                                   41)),
+              {}};
+  std::vector<Time> emptied;
+  Rng rng(42);
+  for (int32_t round = 0; round < 4; ++round) {
+    for (int32_t r = 0; r < 4 * n; ++r) {
+      trace.requests.push_back(
+          {static_cast<PageId>(rng.NextBounded(n)), 2});
+    }
+    for (PageId p = 0; p < n; ++p) trace.requests.push_back({p, 1});
+    emptied.push_back(trace.length());
+  }
+  ExpectLockstepEquivalent(trace, {}, "empty and reactivate");
+  // At each loop's end no page holds mass at level 2 alone.
+  FractionalMlp fast;
+  fast.Attach(trace.instance);
+  Time t = 0;
+  for (const Time end : emptied) {
+    for (; t < end; ++t) fast.Serve(t, trace.requests[static_cast<size_t>(t)]);
+    for (PageId p = 0; p < n; ++p) {
+      EXPECT_GE(fast.U(p, 2), fast.U(p, 1) - 1e-12) << "page " << p;
+    }
+  }
+  EXPECT_EQ(fast.num_weight_groups(), 2);
 }
 
 TEST(FractionalFast, WatchesSurviveRebuildsRefreshesAndGroupMoves) {

@@ -228,11 +228,15 @@ TEST(DHeap, PopsInSortedOrder) {
 TEST(DHeap, HeapifyMatchesIncrementalPushes) {
   Rng rng(9);
   DHeap<int, IntLess> pushed, bulk;
+  std::vector<int> values;
   for (int i = 0; i < 500; ++i) {
     const int v = static_cast<int>(rng.NextBounded(1000));
+    values.push_back(v);
     pushed.push(v);
-    bulk.push_unordered(v);
+    bulk.push(v);
   }
+  // Overwrite the entries in arrival order, which is no heap, and rebuild.
+  std::copy(values.begin(), values.end(), bulk.entries().begin());
   bulk.heapify();
   while (!pushed.empty()) {
     ASSERT_FALSE(bulk.empty());
